@@ -4,11 +4,31 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use pruneperf_backends::ConvBackend;
-use pruneperf_models::Network;
+use pruneperf_models::{ConvLayerSpec, Network};
 use pruneperf_profiler::LayerProfiler;
 
 use crate::accuracy::AccuracyModel;
+use crate::search::SearchSpace;
 use crate::{pareto_front, Staircase};
+
+/// The cost the §V greedy trades accuracy against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// Summed per-layer median latency ([`PerfAwarePruner::prune_to_latency`]).
+    Latency,
+    /// Summed per-layer modelled energy ([`PerfAwarePruner::prune_to_energy`]).
+    Energy,
+}
+
+impl Objective {
+    /// The wire and CLI name.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Objective::Latency => "latency",
+            Objective::Energy => "energy",
+        }
+    }
+}
 
 /// A concrete pruning decision for a whole network: how many channels each
 /// layer keeps, and the resulting (estimated) latency and accuracy.
@@ -184,6 +204,10 @@ impl<'a> PerfAwarePruner<'a> {
     /// `budget_fraction` of the unpruned latency, spending as little
     /// accuracy as possible (greedy best latency-saved-per-accuracy-lost).
     ///
+    /// Builds the staircase ladders and runs [`PerfAwarePruner::prune_over`];
+    /// callers planning one network repeatedly should build the
+    /// [`SearchSpace`] once and call `prune_over` directly.
+    ///
     /// # Panics
     ///
     /// Panics if `budget_fraction` is not in `(0, 1]`.
@@ -193,89 +217,14 @@ impl<'a> PerfAwarePruner<'a> {
         network: &Network,
         budget_fraction: f64,
     ) -> PruningPlan {
-        assert!(
-            budget_fraction > 0.0 && budget_fraction <= 1.0,
-            "budget fraction must be in (0, 1]"
-        );
-        // Per-layer candidate ladders (ascending channel counts).
-        let ladders: HashMap<String, Vec<(usize, f64)>> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), self.candidates_for(backend, l)))
-            .collect();
-
-        let mut kept: HashMap<String, usize> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), l.c_out()))
-            .collect();
-        let mut per_layer_ms: HashMap<String, f64> = network
-            .layers()
-            .iter()
-            .map(|l| {
-                (
-                    l.label().to_string(),
-                    self.profiler.measure(backend, l).median_ms(),
-                )
-            })
-            .collect();
-        // Sum and search in catalog order, not hash order: float sums are
-        // order-sensitive and the greedy's `>` tie-break keeps the first
-        // candidate seen, so hash-order iteration would vary across runs.
-        let total0: f64 = network
-            .layers()
-            .iter()
-            .map(|l| per_layer_ms[l.label()])
-            .sum();
-        let budget = total0 * budget_fraction;
-        let mut total = total0;
-        let mut acc = self.accuracy.accuracy_with(&kept);
-
-        while total > budget {
-            // Best next move: largest latency saved per accuracy lost.
-            let mut best: Option<(String, usize, f64, f64, f64)> = None; // label, c, ms, d_lat, d_acc
-            for layer in network.layers() {
-                let label = layer.label();
-                let ladder = &ladders[label];
-                let cur_c = kept[label];
-                let cur_ms = per_layer_ms[label];
-                // Next candidate strictly below the current count that saves time.
-                let next = ladder
-                    .iter()
-                    .rev()
-                    .find(|&&(c, ms)| c < cur_c && ms < cur_ms);
-                if let Some(&(c, ms)) = next {
-                    let mut trial = kept.clone();
-                    trial.insert(label.to_string(), c);
-                    let new_acc = self.accuracy.accuracy_with(&trial);
-                    let d_lat = cur_ms - ms;
-                    let d_acc = (acc - new_acc).max(1e-9);
-                    let score = d_lat / d_acc;
-                    if best.as_ref().is_none_or(|b| score > b.3 / b.4) {
-                        best = Some((label.to_string(), c, ms, d_lat, d_acc));
-                    }
-                }
-            }
-            let Some((label, c, ms, _, _)) = best else {
-                break; // no further beneficial moves
-            };
-            total -= per_layer_ms[&label] - ms;
-            per_layer_ms.insert(label.clone(), ms);
-            kept.insert(label.clone(), c);
-            acc = self.accuracy.accuracy_with(&kept);
-        }
-
-        let (_, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        PruningPlan {
-            policy: "performance-aware".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            latency_ms: total,
-            energy_mj,
-            accuracy: acc,
-            kept,
-        }
+        let space = SearchSpace::build_for(self.profiler, self.accuracy, backend, network);
+        self.prune_over(
+            &space,
+            backend,
+            network,
+            Objective::Latency,
+            budget_fraction,
+        )
     }
 
     /// Energy-aware variant of [`PerfAwarePruner::prune_to_latency`]: same
@@ -293,84 +242,121 @@ impl<'a> PerfAwarePruner<'a> {
         network: &Network,
         budget_fraction: f64,
     ) -> PruningPlan {
+        let space = SearchSpace::build_for(self.profiler, self.accuracy, backend, network);
+        self.prune_over(&space, backend, network, Objective::Energy, budget_fraction)
+    }
+
+    /// The §V greedy over prebuilt ladders: starting unpruned, repeatedly
+    /// take the ladder step with the most `objective` saved per accuracy
+    /// lost until the summed cost is at most `budget_fraction` of the
+    /// unpruned network's.
+    ///
+    /// `space` must be [`SearchSpace::build_for`] of this profiler's
+    /// device, `backend` and `network`; it is a pure function of those, so
+    /// a caller may build it once and plan any number of budgets over it.
+    /// Only ladder points strictly below a layer's current count are
+    /// candidates, so the unpruned point the space appends is never taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget_fraction` is not in `(0, 1]` or `space` has a
+    /// different layer count than `network`.
+    pub fn prune_over(
+        &self,
+        space: &SearchSpace,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        objective: Objective,
+        budget_fraction: f64,
+    ) -> PruningPlan {
         assert!(
             budget_fraction > 0.0 && budget_fraction <= 1.0,
             "budget fraction must be in (0, 1]"
         );
-        let ladders: HashMap<String, Vec<(usize, f64)>> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), self.candidates_for(backend, l)))
-            .collect();
-        let mut kept: HashMap<String, usize> = network
-            .layers()
+        let layers = network.layers();
+        assert_eq!(
+            space.num_layers(),
+            layers.len(),
+            "search space built for another network"
+        );
+        let layer_cost = |layer: &ConvLayerSpec| match objective {
+            Objective::Latency => self.profiler.measure(backend, layer).median_ms(),
+            Objective::Energy => self.profiler.energy_mj(backend, layer),
+        };
+        let mut kept: HashMap<String, usize> = layers
             .iter()
             .map(|l| (l.label().to_string(), l.c_out()))
             .collect();
-        let mut per_layer_mj: HashMap<String, f64> = network
-            .layers()
-            .iter()
-            .map(|l| (l.label().to_string(), self.profiler.energy_mj(backend, l)))
-            .collect();
-        // Catalog-order sum and search, as in `prune_to_latency`: hash-order
-        // iteration would make the float total and greedy tie-breaks vary
-        // across runs.
-        let total0: f64 = network
-            .layers()
-            .iter()
-            .map(|l| per_layer_mj[l.label()])
-            .sum();
+        // Per-layer cost and search in catalog order, not hash order: float
+        // sums are order-sensitive and the greedy's `>` tie-break keeps the
+        // first candidate seen, so hash-order iteration would vary across
+        // runs.
+        let mut per_layer: Vec<f64> = layers.iter().map(layer_cost).collect();
+        let total0: f64 = per_layer.iter().sum();
         let budget = total0 * budget_fraction;
         let mut total = total0;
         let mut acc = self.accuracy.accuracy_with(&kept);
 
         while total > budget {
-            let mut best: Option<(String, usize, f64, f64, f64)> = None;
-            for layer in network.layers() {
+            // Best next move: largest cost saved per accuracy lost.
+            let mut best: Option<(usize, usize, f64, f64, f64)> = None; // layer, c, cost, d_cost, d_acc
+            for (i, layer) in layers.iter().enumerate() {
                 let label = layer.label();
-                let ladder = &ladders[label];
                 let cur_c = kept[label];
-                let cur_mj = per_layer_mj[label];
-                let next = ladder.iter().rev().find_map(|&(c, _)| {
-                    if c >= cur_c {
-                        return None;
-                    }
-                    // lint: allow(unwrap) — ladder counts come from 1..=c_out
-                    let pruned = layer.with_c_out(c).expect("ladder in range");
-                    let mj = self.profiler.energy_mj(backend, &pruned);
-                    (mj < cur_mj).then_some((c, mj))
-                });
-                if let Some((c, mj)) = next {
+                let cur = per_layer[i];
+                // Next candidate strictly below the current count that saves cost.
+                let next = space
+                    .ladder(i)
+                    .iter()
+                    .rev()
+                    .filter(|&&(c, _)| c < cur_c)
+                    .find_map(|&(c, ms)| {
+                        let cost = match objective {
+                            Objective::Latency => ms,
+                            Objective::Energy => {
+                                // lint: allow(unwrap) — ladder counts come from 1..=c_out
+                                let pruned = layer.with_c_out(c).expect("ladder in range");
+                                layer_cost(&pruned)
+                            }
+                        };
+                        (cost < cur).then_some((c, cost))
+                    });
+                if let Some((c, cost)) = next {
                     let mut trial = kept.clone();
                     trial.insert(label.to_string(), c);
                     let new_acc = self.accuracy.accuracy_with(&trial);
-                    let d_energy = cur_mj - mj;
+                    let d_cost = cur - cost;
                     let d_acc = (acc - new_acc).max(1e-9);
-                    if best.as_ref().is_none_or(|b| d_energy / d_acc > b.3 / b.4) {
-                        best = Some((label.to_string(), c, mj, d_energy, d_acc));
+                    if best.as_ref().is_none_or(|b| d_cost / d_acc > b.3 / b.4) {
+                        best = Some((i, c, cost, d_cost, d_acc));
                     }
                 }
             }
-            let Some((label, c, mj, _, _)) = best else {
-                break;
+            let Some((i, c, cost, _, _)) = best else {
+                break; // no further beneficial moves
             };
-            total -= per_layer_mj[&label] - mj;
-            per_layer_mj.insert(label.clone(), mj);
-            kept.insert(label.clone(), c);
+            total -= per_layer[i] - cost;
+            per_layer[i] = cost;
+            kept.insert(layers[i].label().to_string(), c);
             acc = self.accuracy.accuracy_with(&kept);
         }
 
         let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        PruningPlan {
-            policy: "energy-aware".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
+        let (policy, latency_ms) = match objective {
+            // The latency plan reports the greedy's running total.
+            Objective::Latency => ("performance-aware", total),
+            Objective::Energy => ("energy-aware", latency_ms),
+        };
+        PruningPlan::from_parts(
+            policy,
+            backend.name(),
+            self.profiler.device().name(),
+            network.name(),
+            kept,
             latency_ms,
             energy_mj,
-            accuracy: acc,
-            kept,
-        }
+            acc,
+        )
     }
 
     /// Plans at several latency budgets, reduced to the Pareto front over
@@ -383,9 +369,10 @@ impl<'a> PerfAwarePruner<'a> {
         network: &Network,
         budget_fractions: &[f64],
     ) -> Vec<PruningPlan> {
+        let space = SearchSpace::build_for(self.profiler, self.accuracy, backend, network);
         let plans: Vec<PruningPlan> = budget_fractions
             .iter()
-            .map(|&f| self.prune_to_latency(backend, network, f))
+            .map(|&f| self.prune_over(&space, backend, network, Objective::Latency, f))
             .collect();
         let metric: Vec<(f64, f64)> = plans
             .iter()

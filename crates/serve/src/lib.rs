@@ -29,8 +29,10 @@
 //! All three share one [`planner::PlanService`]: a bounded
 //! [`pruneperf_profiler::LatencyCache`] (see
 //! `LatencyCache::set_max_entries_per_shard` — a long-running process
-//! must not grow without bound) and a
-//! [`pruneperf_profiler::Stats`] registry for the `--stats` side channel.
+//! must not grow without bound), a
+//! [`pruneperf_profiler::Stats`] registry for the `--stats` side channel,
+//! and per-catalog-entry memos of the accuracy models and staircase
+//! ladders, bounded by the catalog's size.
 
 #![forbid(unsafe_code)]
 

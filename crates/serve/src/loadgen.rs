@@ -3,7 +3,8 @@
 //! Generates a reproducible request mix (duplicates, fault-seeded
 //! requests and single-device bursts included), drives it through the
 //! replay pipeline — the same admission model, dedup and planner as
-//! `serve --replay` — and reports shed/dedup/degraded tallies plus a
+//! `serve --replay` — and reports outcome tallies that partition the
+//! requests (deduped answers shown separately) plus a
 //! virtual-time latency distribution. Everything is derived from the
 //! seed and the admission model, so the report is byte-identical across
 //! `--jobs`; the CI drill compares exactly that.
@@ -150,15 +151,17 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> String {
         opts.service_ms,
         opts.cache_cap
     );
+    // The five outcome counts partition the requests; deduped answers
+    // are already counted under the outcome their leader produced.
     let _ = writeln!(
         out,
-        "responses: ok={} degraded={} deduped={} shed={} refused={} parse_errors={}",
+        "responses: ok={} degraded={} shed={} refused={} parse_errors={} (of which deduped={})",
         report.ok,
         report.degraded,
-        report.deduped,
         report.shed,
         report.refused,
-        report.parse_errors
+        report.parse_errors,
+        report.deduped
     );
     let _ = writeln!(
         out,
@@ -224,6 +227,31 @@ mod tests {
         assert_eq!(baseline, wide);
         assert!(baseline.starts_with("loadgen seed=42"));
         assert!(baseline.contains("virtual latency ms:"));
+    }
+
+    #[test]
+    fn the_response_tallies_partition_the_requests() {
+        let opts = LoadgenOptions {
+            requests: 24,
+            ..LoadgenOptions::default()
+        };
+        let report = run_loadgen(&opts);
+        let line = report
+            .lines()
+            .find_map(|l| l.strip_prefix("responses: "))
+            .expect("a responses line");
+        let count = |term: &str| -> usize {
+            term.split_once('=')
+                .and_then(|(_, n)| n.trim_end_matches(')').parse().ok())
+                .unwrap_or_else(|| panic!("not a tally: {term}"))
+        };
+        let (partition, deduped) = line
+            .split_once(" (of which ")
+            .unwrap_or((line, "deduped=0"));
+        let sum: usize = partition.split(' ').map(count).sum();
+        assert_eq!(sum, opts.requests, "{line}");
+        let deduped = count(deduped);
+        assert!(deduped > 0, "the mix injects duplicates: {line}");
     }
 
     #[test]

@@ -10,22 +10,34 @@
 //! the bytes a request produces do not depend on which requests ran
 //! before it. That is the property replay mode's `--jobs` invariance
 //! rests on.
+//!
+//! The service also memoizes the two planner inputs that depend on the
+//! catalog entry alone: one [`AccuracyModel`] per network and one set of
+//! staircase ladders ([`SearchSpace`]) per resolved (device, backend,
+//! network) triple. Both live in fixed tables of [`OnceLock`] slots
+//! indexed by catalog position, filled on first use, so the memo is
+//! bounded by the catalog's size and construction builds nothing.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pruneperf_core::accuracy::AccuracyModel;
+use pruneperf_core::search::SearchSpace;
 use pruneperf_core::PerfAwarePruner;
 use pruneperf_profiler::{
     FaultPlan, FaultyBackend, LatencyCache, LayerProfiler, NetworkRunner, Stats,
 };
 
 use crate::catalog;
-use crate::protocol::{FailedLayerInfo, PlanBody, PlanRequest, PlanResponse, RequestObjective};
+use crate::protocol::{FailedLayerInfo, PlanBody, PlanRequest, PlanResponse};
 
 /// The planning core shared by the live server, replay mode and loadgen.
 pub struct PlanService {
     cache: Arc<LatencyCache>,
     stats: Arc<Stats>,
+    /// Accuracy surrogate per catalog network slot.
+    accuracy: [OnceLock<AccuracyModel>; catalog::NETWORK_SLOTS],
+    /// Staircase ladders per [`catalog::triple_slot`].
+    ladders: [OnceLock<SearchSpace>; catalog::TRIPLE_SLOTS],
 }
 
 impl PlanService {
@@ -44,6 +56,8 @@ impl PlanService {
         PlanService {
             cache,
             stats: Arc::new(Stats::new()),
+            accuracy: [const { OnceLock::new() }; catalog::NETWORK_SLOTS],
+            ladders: [const { OnceLock::new() }; catalog::TRIPLE_SLOTS],
         }
     }
 
@@ -70,15 +84,15 @@ impl PlanService {
     /// layers to permanent faults becomes a *degraded* Ok response (the
     /// PR-4 fallible path), never a dropped request.
     pub fn handle(&self, req: &PlanRequest) -> PlanResponse {
-        let device = match catalog::device_by_name(&req.device) {
+        let (device_slot, device) = match catalog::device_with_slot(&req.device) {
             Ok(d) => d,
             Err(e) => return PlanResponse::Error(e),
         };
-        let backend = match catalog::backend_by_name(&req.backend) {
+        let (backend_slot, backend) = match catalog::backend_with_slot(&req.backend) {
             Ok(b) => b,
             Err(e) => return PlanResponse::Error(e),
         };
-        let network = match catalog::network_by_name(&req.network) {
+        let (network_slot, network) = match catalog::network_with_slot(&req.network) {
             Ok(n) => n,
             Err(e) => return PlanResponse::Error(e),
         };
@@ -90,12 +104,22 @@ impl PlanService {
         let profiler = LayerProfiler::noiseless(&device)
             .with_cache(Arc::clone(&self.cache))
             .with_stats(Arc::clone(&self.stats));
-        let accuracy = AccuracyModel::for_network(&network);
-        let pruner = PerfAwarePruner::new(&profiler, &accuracy);
-        let plan = match req.objective {
-            RequestObjective::Latency => pruner.prune_to_latency(&backend, &network, req.budget),
-            RequestObjective::Energy => pruner.prune_to_energy(&backend, &network, req.budget),
-        };
+        // Both memos are pure functions of the catalog entries their slot
+        // names, so whichever request fills a slot, the values are the
+        // ones every later request would have computed.
+        let accuracy =
+            self.accuracy[network_slot].get_or_init(|| AccuracyModel::for_network(&network));
+        let space = self.ladders[catalog::triple_slot(device_slot, backend_slot, network_slot)]
+            .get_or_init(|| {
+                SearchSpace::build_for(&profiler, accuracy, backend.as_ref(), &network)
+            });
+        let plan = PerfAwarePruner::new(&profiler, accuracy).prune_over(
+            space,
+            backend.as_ref(),
+            &network,
+            req.objective,
+            req.budget,
+        );
 
         // Verification pass: run the pruned network end to end through
         // the fallible path. With a fault seed the backend injects
@@ -228,6 +252,80 @@ mod tests {
         let a = fresh.handle(&r).render(0, false);
         let b = warmed.handle(&r).render(0, false);
         assert_eq!(a, b, "cache warmth must not change response bytes");
+    }
+
+    #[test]
+    fn warm_triples_sweep_no_staircases() {
+        let service = PlanService::new(0);
+        let first = req(r#"{"network":"alexnet","device":"tx2","budget":0.8}"#);
+        service.handle(&first);
+        let swept = service.stats().sweep_items();
+        assert!(
+            swept > 0,
+            "the first request sweeps every layer's staircase"
+        );
+        service.handle(&first);
+        assert_eq!(
+            service.stats().sweep_items(),
+            swept,
+            "a repeated request re-swept"
+        );
+        let other_budget =
+            req(r#"{"network":"alexnet","device":"tx2","objective":"energy","budget":0.6}"#);
+        service.handle(&other_budget);
+        assert_eq!(
+            service.stats().sweep_items(),
+            swept,
+            "a second budget and objective on the same triple re-swept"
+        );
+    }
+
+    #[test]
+    fn memoized_answers_match_fresh_services() {
+        for cap in [2, 0] {
+            let memoized = PlanService::new(cap);
+            for device in ["hikey970", "odroidxu4", "tx2", "nano"] {
+                for backend in ["acl-gemm", "cudnn"] {
+                    for (objective, budget) in [("latency", 0.7), ("energy", 0.6)] {
+                        let r = req(&format!(
+                            r#"{{"network":"alexnet","device":"{device}","backend":"{backend}",
+                                "objective":"{objective}","budget":{budget}}}"#
+                        ));
+                        // The first answer fills the memo, the second reads it.
+                        let warm = memoized.handle(&r);
+                        assert_eq!(warm, memoized.handle(&r));
+                        assert_eq!(
+                            warm.render(0, false),
+                            PlanService::new(cap).handle(&r).render(0, false),
+                            "cap {cap}: {device} {backend} {objective}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn device_aliases_share_a_memo_slot() {
+        let service = PlanService::new(0);
+        let alias = req(r#"{"network":"alexnet","device":"g72","budget":0.8}"#);
+        let board = req(r#"{"network":"alexnet","device":"hikey970","budget":0.8}"#);
+        let by_alias = service.handle(&alias);
+        let swept = service.stats().sweep_items();
+        let by_board = service.handle(&board);
+        assert_eq!(
+            service.stats().sweep_items(),
+            swept,
+            "the alias filled another slot"
+        );
+        match (by_alias, by_board) {
+            (PlanResponse::Ok(a), PlanResponse::Ok(b)) => {
+                assert_eq!(a.device, "g72");
+                assert_eq!(b.device, "hikey970");
+                assert_eq!(a.kept, b.kept);
+            }
+            other => panic!("expected two plans, got {other:?}"),
+        }
     }
 
     #[test]

@@ -64,8 +64,8 @@ cargo run --release -q -- serve --replay tests/goldens/serve_trace.jsonl \
   --workers 2 --queue 1 --service-ms 5 --jobs 8 > /tmp/pruneperf-serve-par.jsonl
 cmp /tmp/pruneperf-serve-seq.jsonl /tmp/pruneperf-serve-par.jsonl
 cmp /tmp/pruneperf-serve-seq.jsonl tests/goldens/serve_replay.golden.jsonl
-cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 1 > /tmp/pruneperf-loadgen-seq.txt
-cargo run --release -q -- loadgen --seed 42 --requests 32 --jobs 8 > /tmp/pruneperf-loadgen-par.txt
+cargo run --release -q -- loadgen --seed 42 --requests 2000 --jobs 1 > /tmp/pruneperf-loadgen-seq.txt
+cargo run --release -q -- loadgen --seed 42 --requests 2000 --jobs 8 > /tmp/pruneperf-loadgen-par.txt
 cmp /tmp/pruneperf-loadgen-seq.txt /tmp/pruneperf-loadgen-par.txt
 
 echo "== benches (compile + smoke) =="
