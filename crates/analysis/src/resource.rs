@@ -1,8 +1,8 @@
 //! The resource-bound rules (`RB001`–`RB004`).
 //!
 //! The search arc (ROADMAP item 4) keeps millions of candidate plans in
-//! flight through long-lived state — the `LatencyCache`, the `KernelMemo`,
-//! job queues, trace buffers. A collection that only ever grows is a slow
+//! flight through long-lived state — the `LatencyCache` and `KernelMemo`
+//! (both over one bounded `ShardedMemo`), job queues, trace buffers. A collection that only ever grows is a slow
 //! memory leak at serving scale, and the paper's §IV caching argument only
 //! holds while the cache fits the device. These rules make boundedness a
 //! reviewed property:

@@ -157,8 +157,10 @@ pub fn render_trace(events: &[ChromeEvent]) -> String {
     out
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal: quotes, backslashes and
+/// `\n`/`\r`/`\t` get short escapes, other control characters `\u00XX`.
+/// The one escaper behind every hand-built JSON renderer in the workspace.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -235,6 +237,12 @@ impl ChainReport {
 mod tests {
     use super::*;
     use crate::{Device, Engine, JobChain, KernelDesc};
+
+    #[test]
+    fn json_strings_escape_specials() {
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
 
     fn chain() -> JobChain {
         let k = KernelDesc::builder("gemm_mm")

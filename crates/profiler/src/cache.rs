@@ -23,10 +23,9 @@
 //! simulation the incremental path avoided.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use pruneperf_backends::hash::fnv1a;
 use pruneperf_backends::{ConvBackend, CostError};
@@ -34,11 +33,7 @@ use pruneperf_gpusim::{Device, Engine};
 use pruneperf_models::ConvLayerSpec;
 
 use crate::incremental::{EngineStats, KernelMemo};
-
-/// Number of independently locked shards; a power of two so the shard
-/// index is a cheap mask. 16 comfortably out-scales the worker counts the
-/// sweep engine runs with.
-const SHARDS: usize = 16;
+use crate::memo::{shard_index, splitmix, Inserted, MemoKey, ShardedMemo, SHARDS};
 
 /// Magic token that opens every persist file.
 const PERSIST_HEADER: &str = "pruneperf-latency-cache";
@@ -84,11 +79,9 @@ impl CacheKey {
     fn matches(&self, backend: u64, device: &str, layer: &ConvLayerSpec) -> bool {
         self.backend == backend && self.device == device && &self.layer == layer
     }
+}
 
-    /// Total order over keys, used as the eviction tie-break *within* one
-    /// digest bucket (cross-bucket order is by digest). Purely structural —
-    /// no insertion-time or thread-schedule component — so the bounded
-    /// cache's final contents are a function of the query set alone.
+impl MemoKey for CacheKey {
     fn order_cmp(&self, other: &CacheKey) -> CmpOrdering {
         let tuple = |k: &CacheKey| {
             (
@@ -108,15 +101,6 @@ impl CacheKey {
             .then_with(|| self.layer.label().cmp(other.layer.label()))
             .then_with(|| tuple(self).cmp(&tuple(other)))
     }
-}
-
-/// SplitMix64 finalizer: cheap, high-quality 64-bit mixing (shared with
-/// the fault-injection plan, whose decisions are pure hash functions).
-pub(crate) fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Digest of the logical key, computed directly from borrowed parts.
@@ -144,30 +128,6 @@ fn key_digest(backend: u64, device: &str, layer: &ConvLayerSpec) -> u64 {
     }
     h
 }
-
-/// The digest is already well-mixed, so bucket maps index by it directly
-/// instead of re-hashing through SipHash.
-#[derive(Default)]
-pub(crate) struct IdentityHasher(u64);
-
-impl std::hash::Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type Bucket = Vec<(CacheKey, (f64, f64))>;
-type Shard = HashMap<u64, Bucket, std::hash::BuildHasherDefault<IdentityHasher>>;
 
 /// Per-shard effectiveness counters, updated with relaxed atomics next to
 /// the shard they describe.
@@ -264,15 +224,13 @@ impl fmt::Display for CacheStats {
 /// goes through; standalone instances exist for tests and isolation.
 #[derive(Debug)]
 pub struct LatencyCache {
-    /// Buckets keyed by [`key_digest`]; each holds the (rarely >1) exact
-    /// keys sharing that digest so hash collisions stay correct.
-    shards: Vec<Mutex<Shard>>,
-    counters: Vec<ShardCounters>,
-    /// Opt-in per-shard entry bound; `0` means unbounded (the default, so
-    /// batch workloads keep today's byte-identical goldens). Long-running
-    /// processes (`pruneperf serve`) set it so the table cannot grow
-    /// without limit. See [`LatencyCache::set_max_entries_per_shard`].
-    max_entries: AtomicUsize,
+    /// Entries keyed by [`key_digest`], unbounded unless
+    /// [`LatencyCache::set_max_entries_per_shard`] sets a bound (batch
+    /// workloads leave it off; `pruneperf serve` sets it so the table
+    /// cannot grow without limit).
+    table: ShardedMemo<CacheKey, (f64, f64)>,
+    /// Query counters, one set per table shard.
+    counters: [ShardCounters; SHARDS],
     /// Per-kernel engine-cost memo backing the incremental miss path.
     memo: KernelMemo,
     /// Engine-activity counters. Classified at cache-insert time (win =
@@ -294,9 +252,8 @@ impl LatencyCache {
     /// An empty cache.
     pub fn new() -> Self {
         LatencyCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            counters: (0..SHARDS).map(|_| ShardCounters::default()).collect(),
-            max_entries: AtomicUsize::new(0),
+            table: ShardedMemo::new(),
+            counters: Default::default(),
             memo: KernelMemo::new(),
             chains_assembled: AtomicU64::new(0),
             engine_runs: AtomicU64::new(0),
@@ -310,78 +267,32 @@ impl LatencyCache {
         GLOBAL.get_or_init(LatencyCache::new)
     }
 
-    /// Bounds every shard (and the owned kernel memo) to at most `cap`
-    /// entries; `0` restores the unbounded default.
+    /// Bounds every shard of the layer table and of the owned kernel memo
+    /// to at most `cap` entries; `0` restores the unbounded default.
     ///
-    /// The eviction policy is *admit-if-smaller* in digest order: a fresh
-    /// key is admitted to a full shard only when its `(digest, key)` order
-    /// key is smaller than the shard's current maximum, which it displaces
-    /// (one `evictions` count per displacement). Membership is therefore
-    /// monotone toward the `cap` order-smallest distinct keys ever queried
-    /// — a pure function of the query *set*, independent of arrival order
-    /// and thread schedule, which is what keeps bounded serving runs
-    /// byte-identical at any `--jobs`. The hit/miss *split* (never the
-    /// `lookups == hits + misses + failures` conservation law) and the
-    /// engine counters do become sequence-dependent once entries can be
-    /// rejected, which is why the bound is opt-in and batch workloads
-    /// leave it off.
+    /// Both tables evict by the `memo` module's *admit-if-smaller*
+    /// policy, one `evictions` count per layer-table displacement:
+    /// membership converges to the `cap` order-smallest distinct keys ever
+    /// queried, whatever the arrival order or thread schedule, which keeps
+    /// bounded serving runs byte-identical at any `--jobs`. The hit/miss
+    /// *split* (never the `lookups == hits + misses + failures`
+    /// conservation law) and the engine counters do become
+    /// sequence-dependent once entries can be rejected, which is why the
+    /// bound is opt-in and batch workloads leave it off.
     ///
     /// Shrinking below the current occupancy trims each shard to `cap`
     /// immediately, largest order keys first.
     pub fn set_max_entries_per_shard(&self, cap: usize) {
-        self.max_entries.store(cap, Ordering::Relaxed);
-        self.memo.set_max_entries_per_shard(cap);
-        if cap == 0 {
-            return;
-        }
-        for (shard, counters) in self.shards.iter().zip(&self.counters) {
-            // lint: allow(hot-lock) — a different shard each iteration; nothing to hoist
-            let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut dropped = 0u64;
-            while table.values().map(Vec::len).sum::<usize>() > cap {
-                // lint: allow(guard-call) — evict_max only mutates the held shard, takes no lock
-                Self::evict_max(&mut table);
-                dropped += 1;
-            }
-            drop(table);
-            counters.evictions.fetch_add(dropped, Ordering::Relaxed);
+        self.memo.table.set_max_entries_per_shard(cap);
+        let dropped = self.table.set_max_entries_per_shard(cap);
+        for (counters, n) in self.counters.iter().zip(dropped) {
+            counters.evictions.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// The configured per-shard bound (`0` = unbounded).
     pub fn max_entries_per_shard(&self) -> usize {
-        self.max_entries.load(Ordering::Relaxed)
-    }
-
-    /// Removes the entry with the largest `(digest, key)` order key from
-    /// `table`. No-op on an empty table.
-    fn evict_max(table: &mut Shard) {
-        let mut max_at: Option<(u64, usize, &CacheKey)> = None;
-        for (&digest, bucket) in table.iter() {
-            for (i, (key, _)) in bucket.iter().enumerate() {
-                let greater = match max_at {
-                    None => true,
-                    Some((d, _, incumbent)) => {
-                        digest.cmp(&d).then_with(|| key.order_cmp(incumbent))
-                            == CmpOrdering::Greater
-                    }
-                };
-                if greater {
-                    max_at = Some((digest, i, key));
-                }
-            }
-        }
-        let target = max_at.map(|(digest, i, _)| (digest, i));
-        if let Some((digest, i)) = target {
-            if let Some(bucket) = table.get_mut(&digest) {
-                if i < bucket.len() {
-                    bucket.remove(i);
-                }
-                if bucket.is_empty() {
-                    table.remove(&digest);
-                }
-            }
-        }
+        self.table.max_entries_per_shard()
     }
 
     /// `(latency ms, energy mJ)` of one execution, memoized.
@@ -508,20 +419,9 @@ impl LatencyCache {
         self.shard_counters(digest)
             .lookups
             .fetch_add(1, Ordering::Relaxed);
-        // Recover from poisoning: shard entries are pure memoized values,
-        // inserted whole under the lock, so a panicked holder cannot have
-        // left a torn state.
-        let table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let cached = table.get(&digest).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|(k, _)| k.matches(fingerprint, device.name(), layer))
-                .map(|(_, v)| *v)
-        });
-        drop(table);
+        let cached = self
+            .table
+            .lookup(digest, |k| k.matches(fingerprint, device.name(), layer));
         if cached.is_some() {
             self.shard_counters(digest)
                 .hits
@@ -553,100 +453,52 @@ impl LatencyCache {
         value: (f64, f64),
     ) -> bool {
         let digest = key_digest(fingerprint, device.name(), layer);
-        let mut table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let already_present = table.get(&digest).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|(k, _)| k.matches(fingerprint, device.name(), layer))
-        });
-        let mut admitted = false;
-        let mut displaced = false;
-        if !already_present {
-            let key = CacheKey {
+        let outcome = self.table.insert(
+            digest,
+            |k| k.matches(fingerprint, device.name(), layer),
+            || CacheKey {
                 backend: fingerprint,
                 device: device.name().to_string(),
                 layer: layer.clone(),
-            };
-            let cap = self.max_entries.load(Ordering::Relaxed);
-            let full = cap > 0 && table.values().map(Vec::len).sum::<usize>() >= cap;
-            if full {
-                // Admit-if-smaller: displace the current maximum only when
-                // the candidate orders below it, so membership converges to
-                // the cap-smallest distinct keys regardless of arrival
-                // order (the determinism contract of the bounded mode).
-                if Self::shard_max_exceeds(&table, digest, &key) {
-                    Self::evict_max(&mut table);
-                    displaced = true;
-                    table.entry(digest).or_default().push((key, value));
-                    admitted = true;
+            },
+            value,
+        );
+        let counters = self.shard_counters(digest);
+        match outcome {
+            Inserted::Present => {
+                counters.hits.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Inserted::Admitted { displaced } => {
+                counters.misses.fetch_add(1, Ordering::Relaxed);
+                if displaced {
+                    counters.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-            } else {
-                table.entry(digest).or_default().push((key, value));
-                admitted = true;
+                true
+            }
+            Inserted::Rejected => {
+                counters.misses.fetch_add(1, Ordering::Relaxed);
+                false
             }
         }
-        drop(table);
-        let counters = self.shard_counters(digest);
-        if already_present {
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        if displaced {
-            counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
     }
 
-    /// `true` when some entry in `table` has a `(digest, key)` order key
-    /// strictly greater than the candidate's.
-    fn shard_max_exceeds(table: &Shard, digest: u64, key: &CacheKey) -> bool {
-        table.iter().any(|(&d, bucket)| {
-            bucket
-                .iter()
-                .any(|(k, _)| d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater)
-        })
-    }
-
-    /// The shard holding `digest`.
-    ///
-    /// Shards on the *top* bits: the identity-hashed bucket maps consume
-    /// the low bits for their own indexing, and sharing those across the
-    /// shard split would cluster every shard's keys.
-    fn shard(&self, digest: u64) -> &Mutex<Shard> {
-        // lint: allow(index) — masked with SHARDS - 1, always in-bounds
-        &self.shards[(digest >> 60) as usize & (SHARDS - 1)]
-    }
-
-    /// The counter set paired with [`LatencyCache::shard`] for `digest`.
+    /// The counter set paired with the table shard holding `digest`.
     fn shard_counters(&self, digest: u64) -> &ShardCounters {
-        // lint: allow(index) — masked with SHARDS - 1, always in-bounds
-        &self.counters[(digest >> 60) as usize & (SHARDS - 1)]
+        // lint: allow(index) — shard_index masks with SHARDS - 1, always in-bounds
+        &self.counters[shard_index(digest)]
     }
 
     /// Deliberately poisons every shard lock: a scoped thread takes each
     /// lock and panics while holding it.
     ///
     /// This is the chaos harness's poisoned-lock fault. The cache's own
-    /// accessors recover via [`PoisonError::into_inner`] (entries are
-    /// inserted whole under the lock, so no torn state can exist), and
-    /// callers verify that queries after poisoning still return bitwise
-    /// the same values.
+    /// accessors recover via [`std::sync::PoisonError::into_inner`]
+    /// (entries are inserted whole under the lock, so no torn state can
+    /// exist), and callers verify that queries after poisoning still
+    /// return bitwise the same values.
     pub fn poison_all_shards(&self) {
-        for shard in &self.shards {
-            let result = std::thread::scope(|scope| {
-                scope
-                    .spawn(|| {
-                        let _guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                        panic!("deliberate shard poisoning");
-                    })
-                    .join()
-            });
-            debug_assert!(result.is_err(), "the poisoning thread must panic");
-        }
+        self.table.poison_all_shards();
     }
 
     /// Memoized latency in ms (the `.0` of [`LatencyCache::cost`]).
@@ -699,7 +551,7 @@ impl LatencyCache {
             engine_runs: self.engine_runs.load(Ordering::Relaxed),
             kernel_lookups: self.kernel_lookups.load(Ordering::Relaxed),
             kernel_evals: self.memo.evals(),
-            memo_entries: self.memo.entries(),
+            memo_entries: self.memo.table.len(),
         }
     }
 
@@ -711,36 +563,23 @@ impl LatencyCache {
     pub fn shard_stats(&self) -> Vec<CacheShardStats> {
         self.counters
             .iter()
+            .zip(self.table.shard_lens())
             .enumerate()
-            .map(|(i, c)| CacheShardStats {
+            .map(|(i, (c, entries))| CacheShardStats {
                 shard: i,
                 lookups: c.lookups.load(Ordering::Relaxed),
                 hits: c.hits.load(Ordering::Relaxed),
                 misses: c.misses.load(Ordering::Relaxed),
                 failures: c.failures.load(Ordering::Relaxed),
                 evictions: c.evictions.load(Ordering::Relaxed),
-                entries: self.shards[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum(),
+                entries,
             })
             .collect()
     }
 
     /// Number of memoized configurations.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.table.len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -754,15 +593,8 @@ impl LatencyCache {
     /// the reset — it records table churn over the cache's lifetime. The
     /// kernel memo and engine counters reset alongside the query counters.
     pub fn clear(&self) {
-        for (shard, counters) in self.shards.iter().zip(&self.counters) {
-            // lint: allow(hot-lock) — one acquisition per shard per reset; sharding splits this lock by design
-            let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let dropped: usize = table.values().map(Vec::len).sum();
-            table.clear();
-            drop(table);
-            counters
-                .evictions
-                .fetch_add(dropped as u64, Ordering::Relaxed);
+        for (counters, dropped) in self.counters.iter().zip(self.table.clear()) {
+            counters.evictions.fetch_add(dropped, Ordering::Relaxed);
             counters.lookups.store(0, Ordering::Relaxed);
             counters.hits.store(0, Ordering::Relaxed);
             counters.misses.store(0, Ordering::Relaxed);
@@ -785,16 +617,7 @@ impl LatencyCache {
     /// regardless of insertion order, thread schedule or whether the cache
     /// was itself restored from a persist file.
     pub fn persist(&self) -> String {
-        let mut entries: Vec<(u64, CacheKey, (f64, f64))> = Vec::new();
-        for shard in &self.shards {
-            let table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (&digest, bucket) in table.iter() {
-                for (key, value) in bucket {
-                    entries.push((digest, key.clone(), *value));
-                }
-            }
-        }
-        entries.sort_by(|(da, ka, _), (db, kb, _)| da.cmp(db).then_with(|| ka.order_cmp(kb)));
+        let entries = self.table.sorted_entries();
         let mut out = format!(
             "{PERSIST_HEADER} v{PERSIST_VERSION} entries={}\n",
             entries.len()
@@ -895,63 +718,28 @@ impl LatencyCache {
             let mj = f64::from_bits(
                 u64::from_str_radix(fields[12], 16).map_err(|_| err(lineno, "bad energy bits"))?,
             );
-            if self.insert_restored(backend, device, layer, (ms, mj)) {
+            let digest = key_digest(backend, device, &layer);
+            let outcome = self.table.insert(
+                digest,
+                |k| k.matches(backend, device, &layer),
+                || CacheKey {
+                    backend,
+                    device: device.to_string(),
+                    layer: layer.clone(),
+                },
+                (ms, mj),
+            );
+            // Not a query: only an eviction displacement is billed.
+            if let Inserted::Admitted { displaced } = outcome {
                 restored += 1;
+                if displaced {
+                    self.shard_counters(digest)
+                        .evictions
+                        .fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         Ok(restored)
-    }
-
-    /// Admits one restored entry, mirroring the bounded-insert policy but
-    /// without query/engine accounting. Returns `true` when admitted.
-    fn insert_restored(
-        &self,
-        fingerprint: u64,
-        device: &str,
-        layer: ConvLayerSpec,
-        value: (f64, f64),
-    ) -> bool {
-        let digest = key_digest(fingerprint, device, &layer);
-        let mut table = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let already_present = table.get(&digest).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|(k, _)| k.matches(fingerprint, device, &layer))
-        });
-        if already_present {
-            return false;
-        }
-        let key = CacheKey {
-            backend: fingerprint,
-            device: device.to_string(),
-            layer,
-        };
-        let cap = self.max_entries.load(Ordering::Relaxed);
-        let full = cap > 0 && table.values().map(Vec::len).sum::<usize>() >= cap;
-        let mut displaced = false;
-        let admitted = if full {
-            if Self::shard_max_exceeds(&table, digest, &key) {
-                Self::evict_max(&mut table);
-                displaced = true;
-                table.entry(digest).or_default().push((key, value));
-                true
-            } else {
-                false
-            }
-        } else {
-            table.entry(digest).or_default().push((key, value));
-            true
-        };
-        drop(table);
-        if displaced {
-            self.shard_counters(digest)
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
     }
 }
 
@@ -1302,6 +1090,42 @@ mod tests {
             cache.cost(&b, &l16().with_c_out(c).unwrap(), &d);
         }
         assert!(cache.len() > after);
+    }
+
+    /// The bound covers the kernel memo as well as the layer table, and a
+    /// bounded miss path still answers bitwise what the cold backend does.
+    #[test]
+    fn bounding_caps_the_kernel_memo_and_keeps_values_exact() {
+        use pruneperf_backends::all_backends;
+        let sweep = |cache: &LatencyCache| {
+            for device in Device::all_paper_devices() {
+                for backend in all_backends() {
+                    for c in (1..=128usize).step_by(9) {
+                        let layer = l16().with_c_out(c).unwrap();
+                        let cold = backend.cost(&layer, &device);
+                        let got = cache.cost(backend.as_ref(), &layer, &device);
+                        assert_eq!(got.0.to_bits(), cold.0.to_bits());
+                        assert_eq!(got.1.to_bits(), cold.1.to_bits());
+                    }
+                }
+            }
+        };
+        let unbounded = LatencyCache::new();
+        sweep(&unbounded);
+        assert!(
+            unbounded.engine_stats().memo_entries > 2 * SHARDS,
+            "the sweep must overflow a cap-2 memo"
+        );
+        let bounded = LatencyCache::new();
+        bounded.set_max_entries_per_shard(2);
+        sweep(&bounded);
+        let engine = bounded.engine_stats();
+        assert!(engine.memo_entries > 0);
+        assert!(engine.memo_entries <= 2 * SHARDS, "{engine:?}");
+        assert!(bounded.len() <= 2 * SHARDS);
+        // A second pass re-answers every evicted key exactly.
+        sweep(&bounded);
+        assert!(bounded.engine_stats().memo_entries <= 2 * SHARDS);
     }
 
     #[test]

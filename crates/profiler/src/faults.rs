@@ -35,7 +35,7 @@ use pruneperf_backends::{ConvBackend, CostError, DispatchPlan};
 use pruneperf_gpusim::Device;
 use pruneperf_models::ConvLayerSpec;
 
-use crate::cache::splitmix;
+use crate::memo::splitmix;
 
 /// Domain-separation salts, one per fault family, so the same (seed, key)
 /// never correlates across families.

@@ -37,6 +37,7 @@ mod curve;
 pub mod faults;
 mod incremental;
 mod measurement;
+mod memo;
 mod profiler;
 mod runner;
 pub mod stats;

@@ -8,11 +8,19 @@
 //! HTTP error, never a panic — a malformed peer must not take the
 //! process down.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Cap on accepted body size: a plan request is a one-line JSON object,
 /// so anything past this is a protocol abuse, refused early.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
+
+/// Cap on the request line and on each header line, terminator included:
+/// a line is read through a reader that stops here, so a peer that never
+/// sends a newline cannot grow the buffer without limit.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Cap on header lines per request.
+pub const MAX_HEADERS: usize = 100;
 
 /// The parts of a request the daemon cares about.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,13 +38,11 @@ pub struct HttpRequest {
 /// # Errors
 ///
 /// Returns a user-facing message for malformed request lines, absent or
-/// unparseable `Content-Length`, oversized bodies, or short reads. The
-/// caller maps these to a 400 response.
+/// unparseable `Content-Length`, oversized lines, bodies or header
+/// counts, or short reads. The caller maps these to a 400 response.
 pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
     let mut request_line = String::new();
-    stream
-        .read_line(&mut request_line)
-        .map_err(|e| format!("failed to read request line: {e}"))?;
+    read_bounded_line(stream, &mut request_line, "request line")?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
@@ -49,17 +55,20 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
     }
 
     let mut content_length: usize = 0;
+    let mut headers = 0usize;
     loop {
         let mut header = String::new();
-        let n = stream
-            .read_line(&mut header)
-            .map_err(|e| format!("failed to read header: {e}"))?;
+        let n = read_bounded_line(stream, &mut header, "header")?;
         if n == 0 {
             return Err("connection closed mid-headers".to_string());
         }
         let line = header.trim_end();
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} headers"));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(format!("malformed header: {line}"));
@@ -82,6 +91,27 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
         .map_err(|e| format!("failed to read {content_length}-byte body: {e}"))?;
     let body = String::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
     Ok(HttpRequest { method, path, body })
+}
+
+/// Reads one line into `line` through a [`MAX_LINE_BYTES`] window,
+/// returning the bytes read (`0` at end of stream).
+///
+/// # Errors
+///
+/// A read failure, or a line that fills the window without ending.
+fn read_bounded_line(
+    stream: &mut impl BufRead,
+    line: &mut String,
+    what: &str,
+) -> Result<usize, String> {
+    let n = stream
+        .take(MAX_LINE_BYTES as u64)
+        .read_line(line)
+        .map_err(|e| format!("failed to read {what}: {e}"))?;
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(format!("{what} exceeds the {MAX_LINE_BYTES}-byte limit"));
+    }
+    Ok(n)
 }
 
 /// The reason phrase for the status codes the daemon emits.
@@ -155,6 +185,43 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(parse(&oversized).unwrap_err().contains("exceeds"));
+    }
+
+    fn mib() -> String {
+        "a".repeat(1 << 20)
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused() {
+        let err = parse(&format!("GET /{} HTTP/1.1\r\n\r\n", mib())).unwrap_err();
+        assert!(err.contains("request line exceeds"), "{err}");
+    }
+
+    #[test]
+    fn oversized_header_line_is_refused() {
+        let err = parse(&format!("GET /stats HTTP/1.1\r\nX-Pad: {}\r\n\r\n", mib())).unwrap_err();
+        assert!(err.contains("header exceeds"), "{err}");
+    }
+
+    #[test]
+    fn header_count_is_capped() {
+        let many = |n: usize| {
+            let headers: String = (0..n).map(|i| format!("X-{i}: v\r\n")).collect();
+            parse(&format!("GET /stats HTTP/1.1\r\n{headers}\r\n"))
+        };
+        assert!(many(MAX_HEADERS).is_ok(), "the cap itself is allowed");
+        let err = many(MAX_HEADERS + 1).unwrap_err();
+        assert!(err.contains("more than"), "{err}");
+    }
+
+    #[test]
+    fn lines_up_to_the_cap_are_accepted() {
+        // Request line of exactly MAX_LINE_BYTES, CRLF included.
+        let path = "a".repeat(MAX_LINE_BYTES - "GET / HTTP/1.1\r\n".len());
+        let req = parse(&format!("GET /{path} HTTP/1.1\r\n\r\n")).unwrap();
+        assert_eq!(req.path.len(), path.len() + 1);
+        let over = format!("GET /{path}a HTTP/1.1\r\n\r\n");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -67,6 +67,9 @@ cmp /tmp/pruneperf-serve-seq.jsonl tests/goldens/serve_replay.golden.jsonl
 cargo run --release -q -- loadgen --seed 42 --requests 2000 --jobs 1 > /tmp/pruneperf-loadgen-seq.txt
 cargo run --release -q -- loadgen --seed 42 --requests 2000 --jobs 8 > /tmp/pruneperf-loadgen-par.txt
 cmp /tmp/pruneperf-loadgen-seq.txt /tmp/pruneperf-loadgen-par.txt
+cargo run --release -q -- loadgen --seed 42 --requests 2000 --cache-cap 8 --jobs 1 > /tmp/pruneperf-loadgen-cap-seq.txt
+cargo run --release -q -- loadgen --seed 42 --requests 2000 --cache-cap 8 --jobs 8 > /tmp/pruneperf-loadgen-cap-par.txt
+cmp /tmp/pruneperf-loadgen-cap-seq.txt /tmp/pruneperf-loadgen-cap-par.txt
 
 echo "== benches (compile + smoke) =="
 cargo bench -p pruneperf-bench -- --test
