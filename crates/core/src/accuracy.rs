@@ -126,14 +126,32 @@ impl AccuracyModel {
         entries.sort();
         let mut loss = 0.0;
         for (label, kept) in entries {
-            let mass = self
-                .pruned_mass(label, kept)
-                .unwrap_or_else(|| panic!("invalid pruning config for {label}: keep {kept}"));
-            let weight = self.layer_weight[label];
-            // Convex loss: the least-important channels cost little, the
-            // last ones a lot (mass is the fraction of importance removed).
-            loss += self.sensitivity * weight * mass.powf(1.6);
+            loss += self.loss_term(label, kept);
         }
+        self.accuracy_from_loss(loss)
+    }
+
+    /// One layer's share of the accuracy loss when it keeps `kept`
+    /// channels. [`AccuracyModel::accuracy_with`] sums these terms in
+    /// label order from `0.0`; a caller that sums them the same way and
+    /// passes the total to [`AccuracyModel::accuracy_from_loss`] gets the
+    /// same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the label is unknown or the count is invalid.
+    pub fn loss_term(&self, label: &str, kept: usize) -> f64 {
+        let mass = self
+            .pruned_mass(label, kept)
+            .unwrap_or_else(|| panic!("invalid pruning config for {label}: keep {kept}"));
+        let weight = self.layer_weight[label];
+        // Convex loss: the least-important channels cost little, the
+        // last ones a lot (mass is the fraction of importance removed).
+        self.sensitivity * weight * mass.powf(1.6)
+    }
+
+    /// Network accuracy after losing `loss` from the base, floored at 0.
+    pub fn accuracy_from_loss(&self, loss: f64) -> f64 {
         (self.base_accuracy - loss).max(0.0)
     }
 

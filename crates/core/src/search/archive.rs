@@ -62,14 +62,96 @@ impl ParetoPoint {
     }
 }
 
+/// Front entries per block are kept between 1 and `2 * BLOCK - 1`: a
+/// block reaching `2 * BLOCK` splits in half, an emptied block is dropped.
+const BLOCK: usize = 64;
+
+/// The energy and accuracy ranges of a block's entries.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    min_energy: f64,
+    max_energy: f64,
+    min_accuracy: f64,
+    max_accuracy: f64,
+}
+
+impl Bounds {
+    fn of<T>(entries: &[(ParetoPoint, T)]) -> Bounds {
+        let mut bounds = Bounds {
+            min_energy: f64::INFINITY,
+            max_energy: f64::NEG_INFINITY,
+            min_accuracy: f64::INFINITY,
+            max_accuracy: f64::NEG_INFINITY,
+        };
+        for (p, _) in entries {
+            bounds.widen(p);
+        }
+        bounds
+    }
+
+    fn widen(&mut self, p: &ParetoPoint) {
+        self.min_energy = self.min_energy.min(p.energy_mj);
+        self.max_energy = self.max_energy.max(p.energy_mj);
+        self.min_accuracy = self.min_accuracy.min(p.accuracy);
+        self.max_accuracy = self.max_accuracy.max(p.accuracy);
+    }
+
+    /// Could an entry inside these bounds dominate `point`? `false` only
+    /// when every entry costs more energy or is less accurate.
+    fn may_dominate(&self, point: &ParetoPoint) -> bool {
+        self.min_energy <= point.energy_mj && self.max_accuracy >= point.accuracy
+    }
+
+    /// Could `point` dominate an entry inside these bounds? `false` only
+    /// when every entry costs less energy or is more accurate.
+    fn may_be_dominated_by(&self, point: &ParetoPoint) -> bool {
+        self.max_energy >= point.energy_mj && self.min_accuracy <= point.accuracy
+    }
+}
+
+/// A run of consecutive front entries in canonical order, with the
+/// bounds that let [`ParetoArchive::offer`] skip it.
+#[derive(Debug, Clone)]
+struct Block<T> {
+    entries: Vec<(ParetoPoint, T)>,
+    bounds: Bounds,
+}
+
+impl<T> Block<T> {
+    fn new(entries: Vec<(ParetoPoint, T)>) -> Self {
+        let bounds = Bounds::of(&entries);
+        Block { entries, bounds }
+    }
+
+    fn first_latency(&self) -> f64 {
+        self.entries
+            .first()
+            .map_or(f64::INFINITY, |(p, _)| p.latency_ms)
+    }
+
+    fn last_latency(&self) -> f64 {
+        self.entries
+            .last()
+            .map_or(f64::NEG_INFINITY, |(p, _)| p.latency_ms)
+    }
+}
+
 /// An online non-dominated archive with per-insertion accounting.
 ///
 /// `T` is the payload carried with each point (a genome, a plan id, …);
 /// its `Ord` breaks ties between duplicate objective points (smallest
 /// payload wins), which is what makes the archive permutation-invariant.
+///
+/// The front is stored as canonical-order blocks, each carrying its
+/// energy and accuracy range; a block splits in half at 128 entries and
+/// is dropped when emptied. An offer binary searches for the duplicate
+/// slot, and the domination query and the retire pass skip every block
+/// whose latency span or ranges rule it out, so an offer touches a few
+/// blocks instead of the whole front.
 #[derive(Debug, Clone, Default)]
 pub struct ParetoArchive<T> {
-    entries: Vec<(ParetoPoint, T)>,
+    blocks: Vec<Block<T>>,
+    len: usize,
     inserted: u64,
     dominated: u64,
     duplicates: u64,
@@ -79,7 +161,8 @@ impl<T: Ord> ParetoArchive<T> {
     /// An empty archive.
     pub fn new() -> Self {
         ParetoArchive {
-            entries: Vec::new(),
+            blocks: Vec::new(),
+            len: 0,
             inserted: 0,
             dominated: 0,
             duplicates: 0,
@@ -107,49 +190,116 @@ impl<T: Ord> ParetoArchive<T> {
         );
         self.inserted += 1;
 
-        // Exact duplicate: keep the smaller payload, count the loser.
-        if let Some(slot) = self.entries.iter().position(|(p, _)| p.same(&point)) {
-            self.duplicates += 1;
-            if payload < self.entries[slot].1 {
-                self.entries[slot].1 = payload;
+        // Exact duplicate: keep the smaller payload, count the loser. The
+        // front holds at most one entry per triple, so the canonical slot
+        // is the only place it can be.
+        let b = self.block_for(&point);
+        if let Some(block) = self.blocks.get_mut(b) {
+            let at = block
+                .entries
+                .partition_point(|(p, _)| p.canonical_cmp(&point) == Ordering::Less);
+            if let Some(entry) = block.entries.get_mut(at) {
+                if entry.0.same(&point) {
+                    self.duplicates += 1;
+                    if payload < entry.1 {
+                        entry.1 = payload;
+                    }
+                    return true;
+                }
             }
-            return true;
         }
 
-        if self.entries.iter().any(|(p, _)| p.dominates(&point)) {
+        // A dominator is no slower, so only blocks starting at or below
+        // the newcomer's latency can hold one.
+        let dominated = self
+            .blocks
+            .iter()
+            .take_while(|block| block.first_latency() <= point.latency_ms)
+            .filter(|block| block.bounds.may_dominate(&point))
+            .any(|block| block.entries.iter().any(|(p, _)| p.dominates(&point)));
+        if dominated {
             self.dominated += 1;
             return false;
         }
 
-        // The newcomer is on the front: retire everything it dominates.
-        let before = self.entries.len();
-        self.entries.retain(|(p, _)| !point.dominates(p));
-        self.dominated += (before - self.entries.len()) as u64;
+        // The newcomer is on the front: retire everything it dominates,
+        // which is no faster, so only blocks ending at or above its
+        // latency can hold any.
+        let first = self
+            .blocks
+            .partition_point(|block| block.last_latency() < point.latency_ms);
+        let mut retired = 0;
+        for block in &mut self.blocks[first..] {
+            if !block.bounds.may_be_dominated_by(&point) {
+                continue;
+            }
+            let before = block.entries.len();
+            block.entries.retain(|(p, _)| !point.dominates(p));
+            if block.entries.len() < before {
+                retired += before - block.entries.len();
+                block.bounds = Bounds::of(&block.entries);
+            }
+        }
+        if retired > 0 {
+            self.blocks.retain(|block| !block.entries.is_empty());
+            self.len -= retired;
+            self.dominated += retired as u64;
+        }
 
-        let at = self
-            .entries
-            .partition_point(|(p, t)| match p.canonical_cmp(&point) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => *t < payload,
-            });
-        self.entries.insert(at, (point, payload));
+        self.insert(point, payload);
         true
     }
 
+    /// Index of the block whose span holds `point`'s canonical slot: the
+    /// first block whose last entry does not order below it, else the
+    /// last block. `0` on an empty archive.
+    fn block_for(&self, point: &ParetoPoint) -> usize {
+        let b = self.blocks.partition_point(|block| {
+            block
+                .entries
+                .last()
+                .is_some_and(|(p, _)| p.canonical_cmp(point) == Ordering::Less)
+        });
+        b.min(self.blocks.len().saturating_sub(1))
+    }
+
+    /// Inserts a front point whose triple is not yet archived at its
+    /// canonical slot.
+    fn insert(&mut self, point: ParetoPoint, payload: T) {
+        self.len += 1;
+        let b = self.block_for(&point);
+        let Some(block) = self.blocks.get_mut(b) else {
+            self.blocks.push(Block::new(vec![(point, payload)]));
+            return;
+        };
+        let at = block
+            .entries
+            .partition_point(|(p, _)| p.canonical_cmp(&point) == Ordering::Less);
+        block.entries.insert(at, (point, payload));
+        block.bounds.widen(&point);
+        if block.entries.len() >= 2 * BLOCK {
+            let upper = Block::new(block.entries.split_off(BLOCK));
+            block.bounds = Bounds::of(&block.entries);
+            self.blocks.insert(b + 1, upper);
+        }
+    }
+
     /// The archived front in canonical order.
-    pub fn entries(&self) -> &[(ParetoPoint, T)] {
-        &self.entries
+    pub fn entries(&self) -> Vec<&(ParetoPoint, T)> {
+        self.blocks
+            .iter()
+            .flat_map(|block| &block.entries)
+            .collect()
     }
 
     /// Number of points currently archived.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when nothing has been archived.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Total points offered via [`ParetoArchive::offer`].

@@ -13,9 +13,10 @@
 //!   search with pure-hash mutation.
 //!
 //! All of them walk [`SearchSpace`] ladders (each layer's staircase
-//! optimal points plus the unpruned count) and score candidates through
-//! the shared [`LayerProfiler`] cache, so evaluating a plan costs cache
-//! lookups, not engine runs. Every random-looking choice — tie-breaking,
+//! optimal points plus the unpruned count). Every ladder slot is measured
+//! once through the shared [`LayerProfiler`] cache into per-layer
+//! objective columns, so evaluating a plan costs table lookups, not cache
+//! lookups or engine runs. Every random-looking choice — tie-breaking,
 //! parent selection, mutation — is a splitmix64 hash of `(seed, position)`
 //! with no RNG state and no clocks, so results are a pure function of
 //! `(inputs, seed)` at any `--jobs` count.
@@ -85,9 +86,13 @@ impl SearchSpace {
         &self.layers[i].0
     }
 
-    /// Size of the full cross product.
+    /// Size of the full cross product, wrapping modulo `usize::MAX + 1`:
+    /// ResNet-50's space exceeds 64 bits, and the wrapped count is what
+    /// the reports have always rendered.
     pub fn total_configs(&self) -> usize {
-        self.layers.iter().map(|(_, c)| c.len()).product()
+        self.layers
+            .iter()
+            .fold(1usize, |n, (_, c)| n.wrapping_mul(c.len()))
     }
 
     /// The genome selecting every layer's unpruned point.
@@ -116,11 +121,16 @@ impl SearchSpace {
     /// Panics if the space exceeds `max_configs` — enumeration is for
     /// small differential-test fixtures only.
     pub fn enumerate_within(&self, max_configs: usize) -> Vec<Vec<usize>> {
-        let total = self.total_configs();
-        assert!(
-            total <= max_configs,
-            "{total} configurations exceed the enumeration cap {max_configs}"
-        );
+        // A checked product: the wrapped `total_configs` of a huge space
+        // could land under the cap.
+        let total = self
+            .layers
+            .iter()
+            .try_fold(1usize, |n, (_, c)| n.checked_mul(c.len()));
+        let Some(total) = total.filter(|&t| t <= max_configs) else {
+            let shown = total.map_or_else(|| "more than usize::MAX".to_string(), |t| t.to_string());
+            panic!("{shown} configurations exceed the enumeration cap {max_configs}");
+        };
         let mut out = Vec::with_capacity(total);
         let mut indices = vec![0usize; self.layers.len()];
         loop {
@@ -141,11 +151,111 @@ impl SearchSpace {
     }
 }
 
-/// Scores `genomes` in deterministic order: per-layer latencies come from
-/// the cache's batched costing path (so a warm cache answers without any
-/// engine run), energies from the same cache entries, accuracy from the
-/// surrogate. The fan-out preserves input order, so the result is
-/// byte-identical at any worker count `jobs`.
+/// Per-(layer, ladder slot) objective terms: each slot's latency, energy
+/// and accuracy-loss term, looked up once so that scoring a genome costs
+/// three sums of table entries instead of two cache lookups per layer.
+///
+/// The sums keep the per-genome cache path's association bit for bit:
+/// latency and energy add in layer order through `Iterator::sum`, and the
+/// loss adds in label order from `0.0`, as
+/// [`AccuracyModel::accuracy_with`] does. Every genome re-sums all layers;
+/// patching a parent's totals (subtract one term, add another) would
+/// re-associate the floats and change bits.
+pub(crate) struct ObjectiveColumns<'a> {
+    accuracy: &'a AccuracyModel,
+    /// `slots[layer][slot]`, layers in catalog order.
+    slots: Vec<Vec<SlotTerms>>,
+    /// Layer indices in ascending label order.
+    loss_order: Vec<usize>,
+}
+
+/// One ladder slot's contribution to each objective.
+#[derive(Debug, Clone, Copy)]
+struct SlotTerms {
+    latency_ms: f64,
+    energy_mj: f64,
+    loss: f64,
+}
+
+impl<'a> ObjectiveColumns<'a> {
+    /// Measures every ladder slot of `space`: one batched measurement per
+    /// layer, the energy of each slot from the same cache, and each slot's
+    /// [`AccuracyModel::loss_term`].
+    pub(crate) fn tabulate(
+        profiler: &LayerProfiler,
+        accuracy: &'a AccuracyModel,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        space: &SearchSpace,
+    ) -> Self {
+        let slots = network
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let specs: Vec<ConvLayerSpec> = space
+                    .ladder(i)
+                    .iter()
+                    .map(|&(kept, _)| {
+                        // lint: allow(unwrap) — ladder entries come from the layer's own staircase
+                        layer.with_c_out(kept).expect("ladder count validated")
+                    })
+                    .collect();
+                profiler
+                    .measure_batch(backend, &specs)
+                    .iter()
+                    .zip(&specs)
+                    .map(|(m, spec)| SlotTerms {
+                        latency_ms: m.median_ms(),
+                        energy_mj: profiler.energy_mj(backend, spec),
+                        loss: accuracy.loss_term(space.label_of(i), spec.c_out()),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut loss_order: Vec<usize> = (0..space.num_layers()).collect();
+        loss_order.sort_by(|&a, &b| space.label_of(a).cmp(space.label_of(b)));
+        ObjectiveColumns {
+            accuracy,
+            slots,
+            loss_order,
+        }
+    }
+
+    /// The objective point of one genome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the genome length or any index is out of range.
+    pub(crate) fn score(&self, genome: &[usize]) -> ParetoPoint {
+        assert_eq!(genome.len(), self.slots.len(), "genome length mismatch");
+        let latency_ms: f64 = genome
+            .iter()
+            .zip(&self.slots)
+            .map(|(&slot, column)| column[slot].latency_ms)
+            .sum();
+        let energy_mj: f64 = genome
+            .iter()
+            .zip(&self.slots)
+            .map(|(&slot, column)| column[slot].energy_mj)
+            .sum();
+        let mut loss = 0.0;
+        for &i in &self.loss_order {
+            loss += self.slots[i][genome[i]].loss;
+        }
+        ParetoPoint {
+            latency_ms,
+            energy_mj,
+            accuracy: self.accuracy.accuracy_from_loss(loss),
+        }
+    }
+}
+
+/// Scores `genomes` in deterministic order from one table of per-slot
+/// objective terms, built through the cache's batched costing path (so a
+/// warm cache answers without any engine run). The fan-out preserves
+/// input order, so the result is byte-identical at any worker count
+/// `jobs`, and bit-identical to [`search`]'s inline scoring.
 pub fn evaluate_genomes(
     profiler: &LayerProfiler,
     accuracy: &AccuracyModel,
@@ -155,31 +265,9 @@ pub fn evaluate_genomes(
     genomes: &[Vec<usize>],
     jobs: usize,
 ) -> Vec<ParetoPoint> {
-    // lint: allow(hot-root) — the per-genome closure costs through `measure_batch`, already audited as a hot root; the wrapper adds no serving loop of its own
-    sweep::ordered_parallel_map(genomes, jobs, |genome| {
-        let specs: Vec<ConvLayerSpec> = network
-            .layers()
-            .iter()
-            .zip(genome.iter().enumerate())
-            .map(|(layer, (i, &slot))| {
-                let kept = space.ladder(i)[slot].0;
-                // lint: allow(unwrap) — ladder entries come from the layer's own staircase
-                layer.with_c_out(kept).expect("ladder count validated")
-            })
-            .collect();
-        let latency_ms: f64 = profiler
-            .measure_batch(backend, &specs)
-            .iter()
-            .map(|m| m.median_ms())
-            .sum();
-        let energy_mj: f64 = specs.iter().map(|s| profiler.energy_mj(backend, s)).sum();
-        let acc = accuracy.accuracy_with(&space.kept_map(genome));
-        ParetoPoint {
-            latency_ms,
-            energy_mj,
-            accuracy: acc,
-        }
-    })
+    let columns = ObjectiveColumns::tabulate(profiler, accuracy, backend, network, space);
+    // lint: allow(hot-root) — the per-genome closure only sums table entries; the table is built once per call, before the fan-out
+    sweep::ordered_parallel_map(genomes, jobs, |genome| columns.score(genome))
 }
 
 /// The splitmix64 finalizer: a bijective avalanche mix. All search

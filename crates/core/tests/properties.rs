@@ -308,3 +308,165 @@ proptest! {
         prop_assert_eq!(from_archive, from_front);
     }
 }
+
+/// The archive as a single linear `Vec` with whole-front scans: the
+/// reference the blocked [`ParetoArchive`] must match after every offer.
+struct LinearArchive {
+    entries: Vec<(ParetoPoint, usize)>,
+    inserted: u64,
+    dominated: u64,
+    duplicates: u64,
+}
+
+fn same(a: &ParetoPoint, b: &ParetoPoint) -> bool {
+    a.latency_ms.total_cmp(&b.latency_ms).is_eq()
+        && a.energy_mj.total_cmp(&b.energy_mj).is_eq()
+        && a.accuracy.total_cmp(&b.accuracy).is_eq()
+}
+
+fn canonical_cmp(a: &ParetoPoint, b: &ParetoPoint) -> std::cmp::Ordering {
+    a.latency_ms
+        .total_cmp(&b.latency_ms)
+        .then(a.energy_mj.total_cmp(&b.energy_mj))
+        .then(b.accuracy.total_cmp(&a.accuracy))
+}
+
+impl LinearArchive {
+    fn new() -> Self {
+        LinearArchive {
+            entries: Vec::new(),
+            inserted: 0,
+            dominated: 0,
+            duplicates: 0,
+        }
+    }
+
+    fn offer(&mut self, point: ParetoPoint, payload: usize) -> bool {
+        self.inserted += 1;
+        if let Some(slot) = self.entries.iter().position(|(p, _)| same(p, &point)) {
+            self.duplicates += 1;
+            if payload < self.entries[slot].1 {
+                self.entries[slot].1 = payload;
+            }
+            return true;
+        }
+        if self.entries.iter().any(|(p, _)| p.dominates(&point)) {
+            self.dominated += 1;
+            return false;
+        }
+        let before = self.entries.len();
+        self.entries.retain(|(p, _)| !point.dominates(p));
+        self.dominated += (before - self.entries.len()) as u64;
+        let at = self
+            .entries
+            .partition_point(|(p, t)| match canonical_cmp(p, &point) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => *t < payload,
+            });
+        self.entries.insert(at, (point, payload));
+        true
+    }
+
+    fn entry_bits(&self) -> Vec<(u64, u64, u64, usize)> {
+        self.entries
+            .iter()
+            .map(|(p, t)| {
+                (
+                    p.latency_ms.to_bits(),
+                    p.energy_mj.to_bits(),
+                    p.accuracy.to_bits(),
+                    *t,
+                )
+            })
+            .collect()
+    }
+}
+
+/// Seeded uniform draw in `[0, 1)`.
+fn unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+}
+
+/// One seeded stream of `(payload, triple)` offers of the given shape.
+fn stream(kind: &str, seed: u64, n: usize) -> Vec<(usize, (f64, f64, f64))> {
+    let mut s = seed;
+    (0..n)
+        .map(|i| {
+            let (x, y, z) = (unit(&mut s), unit(&mut s), unit(&mut s));
+            let triple = match kind {
+                // A coarse grid (signed zeros included): exact duplicates
+                // arrive with different payloads.
+                "duplicates" => {
+                    let grid = [-0.0, 0.0, 1.0, 2.0, 3.0];
+                    let pick = |u: f64| grid[(u * grid.len() as f64) as usize];
+                    (pick(x), pick(y), (z * 4.0).floor() / 4.0)
+                }
+                // Few distinct latencies, continuous energy and accuracy.
+                "equal_latency" => ((x * 4.0).floor(), y * 10.0, z),
+                // Few distinct energies.
+                "equal_energy" => (x * 10.0, (y * 4.0).floor(), z),
+                // Accuracy grows with latency plus energy, so most points
+                // trade off and stay on the front (blocks split); a slow
+                // upward drift lets later points retire earlier ones.
+                "anti_correlated" => {
+                    let drift = i as f64 / n as f64 * 0.05;
+                    (x, y, (x + y) / 2.0 + drift + z * 0.01)
+                }
+                other => panic!("unknown stream kind {other}"),
+            };
+            (i * 7 % 13, triple)
+        })
+        .collect()
+}
+
+#[test]
+fn blocked_archive_matches_the_linear_reference_after_every_offer() {
+    for kind in [
+        "duplicates",
+        "equal_latency",
+        "equal_energy",
+        "anti_correlated",
+    ] {
+        for seed in 1..=3u64 {
+            let mut blocked = ParetoArchive::new();
+            let mut linear = LinearArchive::new();
+            for (step, (payload, triple)) in stream(kind, seed, 2_000).into_iter().enumerate() {
+                let kept = blocked.offer(pt(triple), payload);
+                assert_eq!(
+                    kept,
+                    linear.offer(pt(triple), payload),
+                    "{kind}/{seed} #{step}"
+                );
+                assert_eq!(
+                    entry_bits(&blocked),
+                    linear.entry_bits(),
+                    "{kind}/{seed} #{step}"
+                );
+                assert_eq!(blocked.len(), linear.entries.len());
+                assert_eq!(blocked.inserted(), linear.inserted);
+                assert_eq!(
+                    blocked.dominated(),
+                    linear.dominated,
+                    "{kind}/{seed} #{step}"
+                );
+                assert_eq!(
+                    blocked.duplicates(),
+                    linear.duplicates,
+                    "{kind}/{seed} #{step}"
+                );
+            }
+            if kind == "anti_correlated" {
+                assert!(
+                    blocked.len() > 256 && blocked.dominated() > 0,
+                    "{kind}/{seed}: front {} must span several blocks and retire points",
+                    blocked.len()
+                );
+            }
+        }
+    }
+}

@@ -19,7 +19,11 @@
 //! device so the beam covers enough of each space; they are part of the
 //! pinned fixture.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use pruneperf_backends::AclGemm;
+use pruneperf_core::accuracy::AccuracyModel;
 use pruneperf_core::search::{
     evaluate_genomes, exhaustive_prune_to_latency, search, ParetoPoint, SearchAlgo, SearchConfig,
     SearchOutcome, SearchSpace,
@@ -27,6 +31,8 @@ use pruneperf_core::search::{
 use pruneperf_core::testkit;
 use pruneperf_core::{PerfAwarePruner, PruningPlan};
 use pruneperf_gpusim::Device;
+use pruneperf_models::ConvLayerSpec;
+use pruneperf_profiler::{sweep, LatencyCache, LayerProfiler};
 
 const SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
 const ENUM_CAP: usize = 100_000;
@@ -305,5 +311,200 @@ fn evolve_is_conserved_and_reproducible_on_all_devices() {
                 }
             }
         }
+    }
+}
+
+/// The per-genome scoring the objective columns replaced: every layer's
+/// pruned spec measured through the cache's batched path, its energy
+/// from the same cache, accuracy from the full kept-channel map.
+fn cache_path_point(
+    profiler: &LayerProfiler,
+    accuracy: &AccuracyModel,
+    backend: &AclGemm,
+    network: &pruneperf_models::Network,
+    space: &SearchSpace,
+    genome: &[usize],
+) -> ParetoPoint {
+    let specs: Vec<ConvLayerSpec> = network
+        .layers()
+        .iter()
+        .zip(genome.iter().enumerate())
+        .map(|(layer, (i, &slot))| layer.with_c_out(space.ladder(i)[slot].0).unwrap())
+        .collect();
+    let latency_ms: f64 = profiler
+        .measure_batch(backend, &specs)
+        .iter()
+        .map(|m| m.median_ms())
+        .sum();
+    let energy_mj: f64 = specs.iter().map(|s| profiler.energy_mj(backend, s)).sum();
+    ParetoPoint {
+        latency_ms,
+        energy_mj,
+        accuracy: accuracy.accuracy_with(&space.kept_map(genome)),
+    }
+}
+
+/// Asserts `evaluate_genomes` reproduces [`cache_path_point`] bit for
+/// bit on `device`, noiseless and with seeded jitter, at 1 and 8 workers.
+fn assert_columns_match_the_cache_path(
+    net: &pruneperf_models::Network,
+    device: &Device,
+    genomes_of: impl Fn(&SearchSpace) -> Vec<Vec<usize>>,
+) {
+    let backend = AclGemm::new();
+    let accuracy = AccuracyModel::for_network(net);
+    let profilers = [
+        ("noiseless", LayerProfiler::noiseless(device)),
+        ("noisy", LayerProfiler::new(device)),
+    ];
+    for (noise, profiler) in profilers {
+        let profiler = profiler.with_cache(Arc::new(LatencyCache::new()));
+        let space = SearchSpace::build_for(&profiler, &accuracy, &backend, net);
+        let genomes = genomes_of(&space);
+        let oracle: Vec<(u64, u64, u64)> = genomes
+            .iter()
+            .map(|g| {
+                bits(&cache_path_point(
+                    &profiler, &accuracy, &backend, net, &space, g,
+                ))
+            })
+            .collect();
+        for jobs in [1, 8] {
+            let got = evaluate_genomes(&profiler, &accuracy, &backend, net, &space, &genomes, jobs);
+            let got: Vec<(u64, u64, u64)> = got.iter().map(bits).collect();
+            assert!(
+                got == oracle,
+                "{} on {} {noise} jobs {jobs}: columns drift from the cache path",
+                net.name(),
+                device.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn objective_columns_match_the_per_genome_cache_path_bitwise() {
+    let tiny = testkit::tiny_net();
+    for device in Device::all_paper_devices() {
+        assert_columns_match_the_cache_path(&tiny, &device, |space| {
+            space.enumerate_within(ENUM_CAP)
+        });
+    }
+    // ResNet-50's labels sort apart from its layer order ("ResNet.L10"
+    // before "ResNet.L2"), which pins the loss sum's label order; its
+    // space is sampled by a seeded hash.
+    let resnet = pruneperf_models::resnet50();
+    assert_columns_match_the_cache_path(&resnet, &Device::mali_g72_hikey970(), |space| {
+        (0..256u64)
+            .map(|k| {
+                (0..space.num_layers())
+                    .map(|l| {
+                        let h =
+                            (k * 0x9e37_79b9 + l as u64 * 0x85eb_ca6b).wrapping_mul(0xc2b2_ae35);
+                        (h >> 16) as usize % space.ladder(l).len()
+                    })
+                    .collect()
+            })
+            .collect()
+    });
+}
+
+#[test]
+fn accuracy_is_the_label_ordered_sum_of_loss_terms() {
+    let net = pruneperf_models::resnet50();
+    let model = AccuracyModel::for_network(&net);
+    let mut labels: Vec<&str> = net.layers().iter().map(|l| l.label()).collect();
+    labels.sort_unstable();
+    let maps: Vec<HashMap<String, usize>> = [0usize, 1, 2, 3]
+        .iter()
+        .map(|&variant| {
+            net.layers()
+                .iter()
+                .enumerate()
+                .map(|(i, l)| {
+                    let kept = match variant {
+                        0 => l.c_out(),
+                        1 => l.c_out() / 2,
+                        2 => 1 + (i * 37) % l.c_out(),
+                        _ => l.c_out() - (i * 11) % (l.c_out() / 4),
+                    };
+                    (l.label().to_string(), kept)
+                })
+                .collect()
+        })
+        .collect();
+    for kept in &maps {
+        let mut loss = 0.0;
+        for label in &labels {
+            loss += model.loss_term(label, kept[*label]);
+        }
+        assert_eq!(
+            model.accuracy_with(kept).to_bits(),
+            model.accuracy_from_loss(loss).to_bits()
+        );
+    }
+}
+
+/// FNV-1a over the front's objective bits in front order — the digest
+/// the wall-clock benchmark records per seed and device.
+fn front_digest(outcome: &SearchOutcome) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for plan in &outcome.plans {
+        for x in [plan.latency_ms(), plan.energy_mj(), plan.accuracy()] {
+            for byte in x.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// The large ResNet-50 beam fronts (thousands of points, so the archive
+/// splits and retires across many blocks) reproduce the counters and
+/// front digest recorded for seed 1.
+#[test]
+fn resnet50_beam_fronts_match_the_recorded_counters_and_digest() {
+    sweep::set_sweep_jobs(2);
+    let net = pruneperf_models::resnet50();
+    let accuracy = AccuracyModel::for_network(&net);
+    let cases = [
+        (
+            Device::mali_g72_hikey970(),
+            60_547,
+            7_552,
+            52_995,
+            442,
+            "9e2d94390e2cb0ef",
+        ),
+        (
+            Device::jetson_tx2(),
+            40_100,
+            4_366,
+            35_734,
+            337,
+            "9d5a6da96faa6df3",
+        ),
+    ];
+    for (device, evaluated, front, dominated, rounds, digest) in cases {
+        let profiler = LayerProfiler::noiseless(&device).with_cache(Arc::new(LatencyCache::new()));
+        let config = SearchConfig {
+            seed: 1,
+            ..SearchConfig::default()
+        };
+        let out = search(&profiler, &accuracy, &AclGemm::new(), &net, &config);
+        let got = (
+            out.evaluated,
+            out.archived,
+            out.dominated,
+            out.rounds,
+            front_digest(&out),
+        );
+        assert_eq!(
+            got,
+            (evaluated, front, dominated, rounds, digest.to_string()),
+            "{}",
+            device.name()
+        );
     }
 }

@@ -92,9 +92,23 @@ pub(crate) enum Inserted {
     Rejected,
 }
 
-/// Buckets keyed by digest; each holds the (rarely >1) exact keys sharing
-/// that digest so hash collisions stay correct.
-type Shard<K, V> = HashMap<u64, Vec<(K, V)>, BuildHasherDefault<IdentityHasher>>;
+/// One shard: buckets keyed by digest, each holding the (rarely >1) exact
+/// keys sharing that digest so hash collisions stay correct, plus the
+/// number of entries across all buckets.
+#[derive(Debug)]
+struct Shard<K, V> {
+    map: HashMap<u64, Vec<(K, V)>, BuildHasherDefault<IdentityHasher>>,
+    len: usize,
+}
+
+impl<K, V> Default for Shard<K, V> {
+    fn default() -> Self {
+        Shard {
+            map: HashMap::default(),
+            len: 0,
+        }
+    }
+}
 
 /// A sharded, thread-safe, optionally bounded memo table.
 #[derive(Debug)]
@@ -130,6 +144,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
     pub(crate) fn lookup(&self, digest: u64, matches: impl Fn(&K) -> bool) -> Option<V> {
         let table = self.lock_shard(digest);
         table
+            .map
             .get(&digest)
             .and_then(|bucket| bucket.iter().find(|(k, _)| matches(k)).map(|(_, v)| *v))
     }
@@ -145,6 +160,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
     ) -> Inserted {
         let mut table = self.lock_shard(digest);
         let present = table
+            .map
             .get(&digest)
             .is_some_and(|bucket| bucket.iter().any(|(k, _)| matches(k)));
         if present {
@@ -152,7 +168,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
         }
         let key = make_key();
         let cap = self.max_entries.load(Ordering::Relaxed);
-        let full = cap > 0 && table.values().map(Vec::len).sum::<usize>() >= cap;
+        let full = cap > 0 && table.len >= cap;
         let mut displaced = false;
         if full {
             // Admit-if-smaller: displace the current maximum only when the
@@ -164,7 +180,8 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
             evict_max(&mut table);
             displaced = true;
         }
-        table.entry(digest).or_default().push((key, value));
+        table.map.entry(digest).or_default().push((key, value));
+        table.len += 1;
         Inserted::Admitted { displaced }
     }
 
@@ -180,7 +197,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
         }
         for (shard, n) in self.shards.iter().zip(&mut dropped) {
             let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            while table.values().map(Vec::len).sum::<usize>() > cap {
+            while table.len > cap {
                 evict_max(&mut table);
                 *n += 1;
             }
@@ -197,12 +214,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
     pub(crate) fn shard_lens(&self) -> [usize; SHARDS] {
         let mut lens = [0usize; SHARDS];
         for (shard, n) in self.shards.iter().zip(&mut lens) {
-            *n = shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .values()
-                .map(Vec::len)
-                .sum();
+            *n = shard.lock().unwrap_or_else(PoisonError::into_inner).len;
         }
         lens
     }
@@ -217,8 +229,9 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
         let mut dropped = [0u64; SHARDS];
         for (shard, n) in self.shards.iter().zip(&mut dropped) {
             let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            *n = table.values().map(Vec::len).sum::<usize>() as u64;
-            table.clear();
+            *n = table.len as u64;
+            table.map.clear();
+            table.len = 0;
         }
         dropped
     }
@@ -232,7 +245,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
         let mut entries: Vec<(u64, K, V)> = Vec::new();
         for shard in &self.shards {
             let table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (&digest, bucket) in table.iter() {
+            for (&digest, bucket) in table.map.iter() {
                 for (key, value) in bucket {
                     entries.push((digest, key.clone(), *value));
                 }
@@ -268,7 +281,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
 /// `table`. No-op on an empty table.
 fn evict_max<K: MemoKey, V>(table: &mut Shard<K, V>) {
     let mut max_at: Option<(u64, usize, &K)> = None;
-    for (&digest, bucket) in table.iter() {
+    for (&digest, bucket) in table.map.iter() {
         for (i, (key, _)) in bucket.iter().enumerate() {
             let greater = match max_at {
                 None => true,
@@ -283,12 +296,13 @@ fn evict_max<K: MemoKey, V>(table: &mut Shard<K, V>) {
     }
     let target = max_at.map(|(digest, i, _)| (digest, i));
     if let Some((digest, i)) = target {
-        if let Some(bucket) = table.get_mut(&digest) {
+        if let Some(bucket) = table.map.get_mut(&digest) {
             if i < bucket.len() {
                 bucket.remove(i);
+                table.len -= 1;
             }
             if bucket.is_empty() {
-                table.remove(&digest);
+                table.map.remove(&digest);
             }
         }
     }
@@ -297,7 +311,7 @@ fn evict_max<K: MemoKey, V>(table: &mut Shard<K, V>) {
 /// `true` when some entry in `table` has a `(digest, key)` order key
 /// strictly greater than the candidate's.
 fn shard_max_exceeds<K: MemoKey, V>(table: &Shard<K, V>, digest: u64, key: &K) -> bool {
-    table.iter().any(|(&d, bucket)| {
+    table.map.iter().any(|(&d, bucket)| {
         bucket
             .iter()
             .any(|(k, _)| d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater)
@@ -435,6 +449,49 @@ mod tests {
         let lens = memo.shard_lens();
         let dropped = memo.clear();
         assert!(lens.iter().zip(&dropped).all(|(&l, &d)| l as u64 == d));
+        assert_eq!(memo.len(), 0);
+    }
+
+    /// Every shard's entries, counted bucket by bucket.
+    fn recount(memo: &ShardedMemo<u64, u64>) -> [usize; SHARDS] {
+        let mut lens = [0usize; SHARDS];
+        for (shard, n) in memo.shards.iter().zip(&mut lens) {
+            let table = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            *n = table.map.values().map(Vec::len).sum();
+        }
+        lens
+    }
+
+    #[test]
+    fn tracked_counts_match_a_recount() {
+        let memo = bounded(2);
+        let check = |memo: &ShardedMemo<u64, u64>, step: &str| {
+            assert_eq!(memo.shard_lens(), recount(memo), "after {step}");
+            assert_eq!(memo.len(), recount(memo).iter().sum::<usize>(), "{step}");
+        };
+        // Keys 0, 4, 8, … share one digest, so one shard sees all three
+        // outcomes in turn.
+        assert_eq!(offer(&memo, 8), Inserted::Admitted { displaced: false });
+        assert_eq!(offer(&memo, 12), Inserted::Admitted { displaced: false });
+        check(&memo, "admit");
+        assert_eq!(offer(&memo, 4), Inserted::Admitted { displaced: true });
+        check(&memo, "displace");
+        assert_eq!(offer(&memo, 16), Inserted::Rejected);
+        check(&memo, "reject");
+        memo.set_max_entries_per_shard(0);
+        for key in 0..KEYS {
+            offer(&memo, key);
+        }
+        check(&memo, "unbounded admits");
+        let dropped = memo.set_max_entries_per_shard(1);
+        assert!(dropped.iter().any(|&n| n > 0));
+        check(&memo, "trim");
+        memo.poison_all_shards();
+        check(&memo, "poisoning");
+        offer(&memo, KEYS + 1);
+        check(&memo, "admit after poisoning");
+        memo.clear();
+        check(&memo, "clear");
         assert_eq!(memo.len(), 0);
     }
 

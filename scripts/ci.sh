@@ -36,6 +36,11 @@ cargo test -q --release -p pruneperf-core --test search_differential
 cargo run --release -q -- search --network alexnet --json --jobs 1 > /tmp/pruneperf-search-seq.json
 cargo run --release -q -- search --network alexnet --json --jobs 8 > /tmp/pruneperf-search-par.json
 cmp /tmp/pruneperf-search-seq.json /tmp/pruneperf-search-par.json
+for algo in beam evolve; do
+  cargo run --release -q -- search --network resnet50 --algo "$algo" --json --jobs 1 > "/tmp/pruneperf-search-r50-$algo-seq.json"
+  cargo run --release -q -- search --network resnet50 --algo "$algo" --json --jobs 8 > "/tmp/pruneperf-search-r50-$algo-par.json"
+  cmp "/tmp/pruneperf-search-r50-$algo-seq.json" "/tmp/pruneperf-search-r50-$algo-par.json"
+done
 rm -f /tmp/pruneperf-search-cache.txt
 cargo run --release -q -- search --network alexnet --json \
   --persist /tmp/pruneperf-search-cache.txt > /tmp/pruneperf-search-cold.json
