@@ -152,7 +152,7 @@ impl AccuracyModel {
 
     /// Network accuracy after losing `loss` from the base, floored at 0.
     pub fn accuracy_from_loss(&self, loss: f64) -> f64 {
-        (self.base_accuracy - loss).max(0.0)
+        accuracy_after_loss(self.base_accuracy, loss)
     }
 
     /// Convenience for a single-layer what-if.
@@ -161,6 +161,13 @@ impl AccuracyModel {
         m.insert(label.to_string(), kept);
         self.accuracy_with(&m)
     }
+}
+
+/// Accuracy after losing `loss` from `base`, floored at 0: the one formula
+/// behind [`AccuracyModel::accuracy_from_loss`], shared with the search
+/// columns, which keep the base accuracy but not the model.
+pub(crate) fn accuracy_after_loss(base: f64, loss: f64) -> f64 {
+    (base - loss).max(0.0)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use pruneperf_backends::ConvBackend;
-use pruneperf_models::{ConvLayerSpec, Network};
+use pruneperf_models::Network;
 use pruneperf_profiler::LayerProfiler;
 
 use crate::accuracy::AccuracyModel;
@@ -128,28 +128,6 @@ impl fmt::Display for PruningPlan {
     }
 }
 
-/// Measures the summed latency and energy of a per-layer keep map.
-fn plan_cost(
-    profiler: &LayerProfiler,
-    backend: &dyn ConvBackend,
-    network: &Network,
-    kept: &HashMap<String, usize>,
-) -> (f64, f64) {
-    network
-        .layers()
-        .iter()
-        .map(|l| {
-            let c = kept.get(l.label()).copied().unwrap_or_else(|| l.c_out());
-            // lint: allow(unwrap) — kept counts never exceed the catalog c_out
-            let layer = l.with_c_out(c).expect("keep count validated");
-            (
-                profiler.measure(backend, &layer).median_ms(),
-                profiler.energy_mj(backend, &layer),
-            )
-        })
-        .fold((0.0, 0.0), |(ms, mj), (m, j)| (ms + m, mj + j))
-}
-
 /// The paper's proposal (§V): profile each layer's staircase on the target
 /// device, restrict pruning to the **optimal points** (right step edges),
 /// and couple the choice with the accuracy model to meet a latency budget
@@ -254,8 +232,12 @@ impl<'a> PerfAwarePruner<'a> {
     /// `space` must be [`SearchSpace::build_for`] of this profiler's
     /// device, `backend` and `network`; it is a pure function of those, so
     /// a caller may build it once and plan any number of budgets over it.
-    /// Only ladder points strictly below a layer's current count are
-    /// candidates, so the unpruned point the space appends is never taken.
+    /// The greedy reads only the space: its state is one ladder slot per
+    /// layer, and every cost, energy and accuracy comes from the space's
+    /// per-slot objective table, so a step costs table lookups and no
+    /// cache lookups. Only ladder points strictly below a layer's current
+    /// count are candidates, so the unpruned point the space appends is
+    /// never taken.
     ///
     /// # Panics
     ///
@@ -273,75 +255,72 @@ impl<'a> PerfAwarePruner<'a> {
             budget_fraction > 0.0 && budget_fraction <= 1.0,
             "budget fraction must be in (0, 1]"
         );
-        let layers = network.layers();
         assert_eq!(
             space.num_layers(),
-            layers.len(),
+            network.len(),
             "search space built for another network"
         );
-        let layer_cost = |layer: &ConvLayerSpec| match objective {
-            Objective::Latency => self.profiler.measure(backend, layer).median_ms(),
-            Objective::Energy => self.profiler.energy_mj(backend, layer),
+        let columns = space.columns();
+        let slot_cost = |layer: usize, slot: usize| {
+            let terms = columns.slot(layer, slot);
+            match objective {
+                Objective::Latency => terms.latency_ms,
+                Objective::Energy => terms.energy_mj,
+            }
         };
-        let mut kept: HashMap<String, usize> = layers
+        let mut genome = space.full_genome();
+        // Per-layer cost and search in catalog order: float sums are
+        // order-sensitive and the greedy's `>` tie-break keeps the first
+        // candidate seen.
+        let mut per_layer: Vec<f64> = genome
             .iter()
-            .map(|l| (l.label().to_string(), l.c_out()))
+            .enumerate()
+            .map(|(i, &slot)| slot_cost(i, slot))
             .collect();
-        // Per-layer cost and search in catalog order, not hash order: float
-        // sums are order-sensitive and the greedy's `>` tie-break keeps the
-        // first candidate seen, so hash-order iteration would vary across
-        // runs.
-        let mut per_layer: Vec<f64> = layers.iter().map(layer_cost).collect();
         let total0: f64 = per_layer.iter().sum();
         let budget = total0 * budget_fraction;
         let mut total = total0;
-        let mut acc = self.accuracy.accuracy_with(&kept);
+        let mut acc = columns.accuracy(&genome);
 
         while total > budget {
             // Best next move: largest cost saved per accuracy lost.
-            let mut best: Option<(usize, usize, f64, f64, f64)> = None; // layer, c, cost, d_cost, d_acc
-            for (i, layer) in layers.iter().enumerate() {
-                let label = layer.label();
-                let cur_c = kept[label];
+            let mut best: Option<(usize, usize, f64, f64, f64)> = None; // layer, slot, cost, d_cost, d_acc
+            for i in 0..genome.len() {
+                let current = genome[i];
                 let cur = per_layer[i];
-                // Next candidate strictly below the current count that saves cost.
-                let next = space
-                    .ladder(i)
+                // Next ladder slot below the current one that saves cost.
+                let next = space.ladder(i)[..current]
                     .iter()
+                    .enumerate()
                     .rev()
-                    .filter(|&&(c, _)| c < cur_c)
-                    .find_map(|&(c, ms)| {
+                    .find_map(|(slot, &(_, ms))| {
                         let cost = match objective {
                             Objective::Latency => ms,
-                            Objective::Energy => {
-                                // lint: allow(unwrap) — ladder counts come from 1..=c_out
-                                let pruned = layer.with_c_out(c).expect("ladder in range");
-                                layer_cost(&pruned)
-                            }
+                            Objective::Energy => columns.slot(i, slot).energy_mj,
                         };
-                        (cost < cur).then_some((c, cost))
+                        (cost < cur).then_some((slot, cost))
                     });
-                if let Some((c, cost)) = next {
-                    let mut trial = kept.clone();
-                    trial.insert(label.to_string(), c);
-                    let new_acc = self.accuracy.accuracy_with(&trial);
+                if let Some((slot, cost)) = next {
+                    genome[i] = slot;
+                    let new_acc = columns.accuracy(&genome);
+                    genome[i] = current;
                     let d_cost = cur - cost;
                     let d_acc = (acc - new_acc).max(1e-9);
                     if best.as_ref().is_none_or(|b| d_cost / d_acc > b.3 / b.4) {
-                        best = Some((i, c, cost, d_cost, d_acc));
+                        best = Some((i, slot, cost, d_cost, d_acc));
                     }
                 }
             }
-            let Some((i, c, cost, _, _)) = best else {
+            let Some((i, slot, cost, _, _)) = best else {
                 break; // no further beneficial moves
             };
             total -= per_layer[i] - cost;
             per_layer[i] = cost;
-            kept.insert(layers[i].label().to_string(), c);
-            acc = self.accuracy.accuracy_with(&kept);
+            genome[i] = slot;
+            acc = columns.accuracy(&genome);
         }
 
-        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
+        let (latency_ms, energy_mj) = columns.totals(&genome);
         let (policy, latency_ms) = match objective {
             // The latency plan reports the greedy's running total.
             Objective::Latency => ("performance-aware", total),
@@ -352,7 +331,7 @@ impl<'a> PerfAwarePruner<'a> {
             backend.name(),
             self.profiler.device().name(),
             network.name(),
-            kept,
+            space.kept_map(&genome),
             latency_ms,
             energy_mj,
             acc,
@@ -400,6 +379,41 @@ impl<'a> UninstructedPruner<'a> {
         UninstructedPruner { profiler, accuracy }
     }
 
+    /// Measures a keep map layer by layer through the profiler cache: the
+    /// uninstructed counts lie off the staircase ladders, so there is no
+    /// objective table to read them from.
+    fn measure_keeps(
+        &self,
+        backend: &dyn ConvBackend,
+        network: &Network,
+        kept: HashMap<String, usize>,
+    ) -> PruningPlan {
+        let (latency_ms, energy_mj) = network
+            .layers()
+            .iter()
+            .map(|l| {
+                let c = kept.get(l.label()).copied().unwrap_or_else(|| l.c_out());
+                // lint: allow(unwrap) — kept counts never exceed the catalog c_out
+                let layer = l.with_c_out(c).expect("keep count validated");
+                (
+                    self.profiler.measure(backend, &layer).median_ms(),
+                    self.profiler.energy_mj(backend, &layer),
+                )
+            })
+            .fold((0.0, 0.0), |(ms, mj), (m, j)| (ms + m, mj + j));
+        let accuracy = self.accuracy.accuracy_with(&kept);
+        PruningPlan::from_parts(
+            "uninstructed",
+            backend.name(),
+            self.profiler.device().name(),
+            network.name(),
+            kept,
+            latency_ms,
+            energy_mj,
+            accuracy,
+        )
+    }
+
     /// Prunes every layer by the same channel distance (layers narrower
     /// than the distance are left unpruned), ignoring the device entirely.
     pub fn prune_by_distance(
@@ -420,18 +434,7 @@ impl<'a> UninstructedPruner<'a> {
                 (l.label().to_string(), c)
             })
             .collect();
-        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        let accuracy = self.accuracy.accuracy_with(&kept);
-        PruningPlan {
-            policy: "uninstructed".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            kept,
-            latency_ms,
-            energy_mj,
-            accuracy,
-        }
+        self.measure_keeps(backend, network, kept)
     }
 
     /// Prunes every layer to the same *fraction* of its channels.
@@ -457,18 +460,7 @@ impl<'a> UninstructedPruner<'a> {
                 (l.label().to_string(), c)
             })
             .collect();
-        let (latency_ms, energy_mj) = plan_cost(self.profiler, backend, network, &kept);
-        let accuracy = self.accuracy.accuracy_with(&kept);
-        PruningPlan {
-            policy: "uninstructed".into(),
-            backend: backend.name().to_string(),
-            device: self.profiler.device().name().to_string(),
-            network: network.name().to_string(),
-            kept,
-            latency_ms,
-            energy_mj,
-            accuracy,
-        }
+        self.measure_keeps(backend, network, kept)
     }
 }
 

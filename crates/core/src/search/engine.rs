@@ -4,10 +4,10 @@
 //! every tie-break, parent pick and mutation is a [`super::splitmix64`]
 //! hash of `(seed, structural position)`, so there is no RNG state to
 //! advance, no clock, and no dependence on thread interleaving. Candidates
-//! are scored inline, in order, from one [`ObjectiveColumns`] table built
-//! after the ladders; the worker count only parallelises the ladder build
-//! — so the whole search, including the final archive, is byte-identical
-//! at `--jobs 1` and `--jobs 8`.
+//! are scored inline, in order, from the objective table the
+//! [`SearchSpace`] builds after its ladders; the worker count only
+//! parallelises the ladder build — so the whole search, including the
+//! final archive, is byte-identical at `--jobs 1` and `--jobs 8`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -15,7 +15,7 @@ use pruneperf_backends::ConvBackend;
 use pruneperf_models::Network;
 use pruneperf_profiler::LayerProfiler;
 
-use super::{genome_hash, mix, ObjectiveColumns, ParetoArchive, ParetoPoint, SearchSpace};
+use super::{genome_hash, mix, ParetoArchive, ParetoPoint, SearchSpace};
 use crate::accuracy::AccuracyModel;
 use crate::PruningPlan;
 
@@ -114,7 +114,7 @@ pub fn search(
     config: &SearchConfig,
 ) -> SearchOutcome {
     let space = SearchSpace::build_for(profiler, accuracy, backend, network);
-    let columns = ObjectiveColumns::tabulate(profiler, accuracy, backend, network, &space);
+    let columns = space.columns();
     let width = config.beam_width.max(1);
 
     let mut archive: ParetoArchive<Vec<usize>> = ParetoArchive::new();

@@ -53,26 +53,23 @@ pub fn exhaustive_prune_to_latency(
         "{total_configs} configurations exceed the exhaustive-search cap {max_configs}"
     );
 
-    let unpruned_ms: f64 = network
-        .layers()
-        .iter()
-        .map(|l| profiler.measure(backend, l).median_ms())
-        .sum();
-    let budget = unpruned_ms * budget_fraction;
-
-    let mut best: Option<ExactPlan> = None;
-    for genome in space.enumerate_within(max_configs) {
-        let latency: f64 = genome
+    let ladder_ms = |genome: &[usize]| -> f64 {
+        genome
             .iter()
             .enumerate()
             .map(|(i, &slot)| space.ladder(i)[slot].1)
-            .sum();
+            .sum()
+    };
+    let budget = ladder_ms(&space.full_genome()) * budget_fraction;
+
+    let mut best: Option<ExactPlan> = None;
+    for genome in space.enumerate_within(max_configs) {
+        let latency = ladder_ms(&genome);
         if latency <= budget {
-            let kept = space.kept_map(&genome);
-            let acc = accuracy.accuracy_with(&kept);
+            let acc = space.columns().accuracy(&genome);
             if best.as_ref().is_none_or(|b| acc > b.accuracy) {
                 best = Some(ExactPlan {
-                    kept,
+                    kept: space.kept_map(&genome),
                     latency_ms: latency,
                     accuracy: acc,
                 });

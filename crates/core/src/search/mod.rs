@@ -35,11 +35,12 @@ use pruneperf_backends::ConvBackend;
 use pruneperf_models::{ConvLayerSpec, Network};
 use pruneperf_profiler::{sweep, LayerProfiler};
 
-use crate::accuracy::AccuracyModel;
+use crate::accuracy::{accuracy_after_loss, AccuracyModel};
 use crate::PerfAwarePruner;
 
 /// The joint candidate space: one ladder of `(kept_channels, latency_ms)`
-/// pairs per layer, in catalog (network) order.
+/// pairs per layer, in catalog (network) order, plus a table of every
+/// ladder slot's latency, energy and accuracy-loss terms.
 ///
 /// Each ladder is the layer's staircase optimal points (ascending kept
 /// count) with the unpruned channel count appended when the staircase did
@@ -48,10 +49,12 @@ use crate::PerfAwarePruner;
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     layers: Vec<(String, Vec<(usize, f64)>)>,
+    columns: ObjectiveColumns,
 }
 
 impl SearchSpace {
-    /// Builds the ladders for `network` under `backend`.
+    /// Builds the ladders for `network` under `backend`, then tabulates
+    /// their objective columns.
     pub fn build_for(
         profiler: &LayerProfiler,
         accuracy: &AccuracyModel,
@@ -68,7 +71,8 @@ impl SearchSpace {
             }
             layers.push((layer.label().to_string(), cands));
         }
-        SearchSpace { layers }
+        let columns = ObjectiveColumns::tabulate(profiler, accuracy, backend, network, &layers);
+        SearchSpace { layers, columns }
     }
 
     /// Number of layers (genome length).
@@ -84,6 +88,11 @@ impl SearchSpace {
     /// The label of layer `i`.
     pub fn label_of(&self, i: usize) -> &str {
         &self.layers[i].0
+    }
+
+    /// The per-slot objective terms of every ladder.
+    pub(crate) fn columns(&self) -> &ObjectiveColumns {
+        &self.columns
     }
 
     /// Size of the full cross product, wrapping modulo `usize::MAX + 1`:
@@ -152,17 +161,20 @@ impl SearchSpace {
 }
 
 /// Per-(layer, ladder slot) objective terms: each slot's latency, energy
-/// and accuracy-loss term, looked up once so that scoring a genome costs
-/// three sums of table entries instead of two cache lookups per layer.
+/// and accuracy-loss term, looked up once per [`SearchSpace`] so that
+/// scoring a genome — in the search or in a step of the §V greedy — costs
+/// sums of table entries instead of cache lookups. The table holds the
+/// base accuracy but no reference to the [`AccuracyModel`], so a space
+/// can be stored and shared.
 ///
 /// The sums keep the per-genome cache path's association bit for bit:
-/// latency and energy add in layer order through `Iterator::sum`, and the
-/// loss adds in label order from `0.0`, as
-/// [`AccuracyModel::accuracy_with`] does. Every genome re-sums all layers;
-/// patching a parent's totals (subtract one term, add another) would
-/// re-associate the floats and change bits.
-pub(crate) struct ObjectiveColumns<'a> {
-    accuracy: &'a AccuracyModel,
+/// latency and energy add in layer order from `0.0`, and the loss adds in
+/// label order from `0.0`, as [`AccuracyModel::accuracy_with`] does. Every
+/// genome re-sums all layers; patching a parent's totals (subtract one
+/// term, add another) would re-associate the floats and change bits.
+#[derive(Debug, Clone)]
+pub(crate) struct ObjectiveColumns {
+    base_accuracy: f64,
     /// `slots[layer][slot]`, layers in catalog order.
     slots: Vec<Vec<SlotTerms>>,
     /// Layer indices in ascending label order.
@@ -171,30 +183,29 @@ pub(crate) struct ObjectiveColumns<'a> {
 
 /// One ladder slot's contribution to each objective.
 #[derive(Debug, Clone, Copy)]
-struct SlotTerms {
-    latency_ms: f64,
-    energy_mj: f64,
+pub(crate) struct SlotTerms {
+    pub(crate) latency_ms: f64,
+    pub(crate) energy_mj: f64,
     loss: f64,
 }
 
-impl<'a> ObjectiveColumns<'a> {
-    /// Measures every ladder slot of `space`: one batched measurement per
-    /// layer, the energy of each slot from the same cache, and each slot's
+impl ObjectiveColumns {
+    /// Measures every ladder slot: one batched measurement per layer, the
+    /// energy of each slot from the same cache, and each slot's
     /// [`AccuracyModel::loss_term`].
-    pub(crate) fn tabulate(
+    fn tabulate(
         profiler: &LayerProfiler,
-        accuracy: &'a AccuracyModel,
+        accuracy: &AccuracyModel,
         backend: &dyn ConvBackend,
         network: &Network,
-        space: &SearchSpace,
+        ladders: &[(String, Vec<(usize, f64)>)],
     ) -> Self {
         let slots = network
             .layers()
             .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                let specs: Vec<ConvLayerSpec> = space
-                    .ladder(i)
+            .zip(ladders)
+            .map(|(layer, (label, ladder))| {
+                let specs: Vec<ConvLayerSpec> = ladder
                     .iter()
                     .map(|&(kept, _)| {
                         // lint: allow(unwrap) — ladder entries come from the layer's own staircase
@@ -208,18 +219,43 @@ impl<'a> ObjectiveColumns<'a> {
                     .map(|(m, spec)| SlotTerms {
                         latency_ms: m.median_ms(),
                         energy_mj: profiler.energy_mj(backend, spec),
-                        loss: accuracy.loss_term(space.label_of(i), spec.c_out()),
+                        loss: accuracy.loss_term(label, spec.c_out()),
                     })
                     .collect()
             })
             .collect();
-        let mut loss_order: Vec<usize> = (0..space.num_layers()).collect();
-        loss_order.sort_by(|&a, &b| space.label_of(a).cmp(space.label_of(b)));
+        let mut loss_order: Vec<usize> = (0..ladders.len()).collect();
+        loss_order.sort_by(|&a, &b| ladders[a].0.cmp(&ladders[b].0));
         ObjectiveColumns {
-            accuracy,
+            base_accuracy: accuracy.base_accuracy(),
             slots,
             loss_order,
         }
+    }
+
+    /// The terms of layer `layer` at ladder slot `slot`.
+    pub(crate) fn slot(&self, layer: usize, slot: usize) -> SlotTerms {
+        self.slots[layer][slot]
+    }
+
+    /// Summed `(latency_ms, energy_mj)` of one genome, in layer order.
+    pub(crate) fn totals(&self, genome: &[usize]) -> (f64, f64) {
+        genome
+            .iter()
+            .zip(&self.slots)
+            .fold((0.0, 0.0), |(ms, mj), (&slot, column)| {
+                (ms + column[slot].latency_ms, mj + column[slot].energy_mj)
+            })
+    }
+
+    /// Estimated accuracy of one genome: its loss terms summed in label
+    /// order.
+    pub(crate) fn accuracy(&self, genome: &[usize]) -> f64 {
+        let mut loss = 0.0;
+        for &i in &self.loss_order {
+            loss += self.slots[i][genome[i]].loss;
+        }
+        accuracy_after_loss(self.base_accuracy, loss)
     }
 
     /// The objective point of one genome.
@@ -229,44 +265,38 @@ impl<'a> ObjectiveColumns<'a> {
     /// Panics if the genome length or any index is out of range.
     pub(crate) fn score(&self, genome: &[usize]) -> ParetoPoint {
         assert_eq!(genome.len(), self.slots.len(), "genome length mismatch");
-        let latency_ms: f64 = genome
-            .iter()
-            .zip(&self.slots)
-            .map(|(&slot, column)| column[slot].latency_ms)
-            .sum();
-        let energy_mj: f64 = genome
-            .iter()
-            .zip(&self.slots)
-            .map(|(&slot, column)| column[slot].energy_mj)
-            .sum();
-        let mut loss = 0.0;
-        for &i in &self.loss_order {
-            loss += self.slots[i][genome[i]].loss;
-        }
+        let (latency_ms, energy_mj) = self.totals(genome);
         ParetoPoint {
             latency_ms,
             energy_mj,
-            accuracy: self.accuracy.accuracy_from_loss(loss),
+            accuracy: self.accuracy(genome),
         }
     }
 }
 
-/// Scores `genomes` in deterministic order from one table of per-slot
-/// objective terms, built through the cache's batched costing path (so a
-/// warm cache answers without any engine run). The fan-out preserves
-/// input order, so the result is byte-identical at any worker count
-/// `jobs`, and bit-identical to [`search`]'s inline scoring.
+/// Scores `genomes` in deterministic order from `space`'s table of
+/// per-slot objective terms (built with the space, so no cache is read
+/// here). The fan-out preserves input order, so the result is
+/// byte-identical at any worker count `jobs`, and bit-identical to
+/// [`search`]'s inline scoring. The profiler, accuracy model and backend
+/// stay in the signature for existing callers, but the table already
+/// holds everything they contribute; `space` must be built for `network`.
 pub fn evaluate_genomes(
-    profiler: &LayerProfiler,
-    accuracy: &AccuracyModel,
-    backend: &dyn ConvBackend,
+    _profiler: &LayerProfiler,
+    _accuracy: &AccuracyModel,
+    _backend: &dyn ConvBackend,
     network: &Network,
     space: &SearchSpace,
     genomes: &[Vec<usize>],
     jobs: usize,
 ) -> Vec<ParetoPoint> {
-    let columns = ObjectiveColumns::tabulate(profiler, accuracy, backend, network, space);
-    // lint: allow(hot-root) — the per-genome closure only sums table entries; the table is built once per call, before the fan-out
+    assert_eq!(
+        space.num_layers(),
+        network.len(),
+        "search space built for another network"
+    );
+    let columns = space.columns();
+    // lint: allow(hot-root) — the per-genome closure only sums table entries; the table is built with the space, before the fan-out
     sweep::ordered_parallel_map(genomes, jobs, |genome| columns.score(genome))
 }
 

@@ -33,34 +33,79 @@ pub struct HttpRequest {
     pub body: String,
 }
 
+/// Why [`read_request`] refused a request. Each kind answers with its own
+/// status code ([`HttpError::status`]); the message is user-facing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HttpError {
+    /// The request line fills the [`MAX_LINE_BYTES`] window without
+    /// ending: 414.
+    UriTooLong(String),
+    /// A header line fills the [`MAX_LINE_BYTES`] window without ending,
+    /// or the request carries more than [`MAX_HEADERS`] header lines: 431.
+    HeadersTooLarge(String),
+    /// Anything else malformed, oversized or cut short: 400.
+    BadRequest(String),
+}
+
+impl HttpError {
+    /// The HTTP status code the daemon answers this refusal with.
+    pub fn status(&self) -> u16 {
+        match self {
+            HttpError::UriTooLong(_) => 414,
+            HttpError::HeadersTooLarge(_) => 431,
+            HttpError::BadRequest(_) => 400,
+        }
+    }
+}
+
+impl std::fmt::Display for HttpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HttpError::UriTooLong(m) | HttpError::HeadersTooLarge(m) | HttpError::BadRequest(m) => {
+                f.write_str(m)
+            }
+        }
+    }
+}
+
+impl std::error::Error for HttpError {}
+
 /// Reads one HTTP/1.1 request from `stream`.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for malformed request lines, absent or
+/// Returns an [`HttpError`] for malformed request lines, absent or
 /// unparseable `Content-Length`, oversized lines, bodies or header
-/// counts, or short reads. The caller maps these to a 400 response.
-pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
+/// counts, or short reads; the caller answers with its
+/// [`HttpError::status`].
+pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
     let mut request_line = String::new();
-    read_bounded_line(stream, &mut request_line, "request line")?;
+    read_bounded_line(
+        stream,
+        &mut request_line,
+        "request line",
+        HttpError::UriTooLong,
+    )?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     let version = parts.next().unwrap_or("");
     if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
-        return Err(format!(
+        return Err(HttpError::BadRequest(format!(
             "malformed request line: {}",
             request_line.trim_end()
-        ));
+        )));
     }
 
     let mut content_length: usize = 0;
     let mut headers = 0usize;
     loop {
         let mut header = String::new();
-        let n = read_bounded_line(stream, &mut header, "header")?;
+        let n = read_bounded_line(stream, &mut header, "header", HttpError::HeadersTooLarge)?;
         if n == 0 {
-            return Err("connection closed mid-headers".to_string());
+            return Err(HttpError::BadRequest(
+                "connection closed mid-headers".to_string(),
+            ));
         }
         let line = header.trim_end();
         if line.is_empty() {
@@ -68,28 +113,31 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
         }
         headers += 1;
         if headers > MAX_HEADERS {
-            return Err(format!("more than {MAX_HEADERS} headers"));
+            return Err(HttpError::HeadersTooLarge(format!(
+                "more than {MAX_HEADERS} headers"
+            )));
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(format!("malformed header: {line}"));
+            return Err(HttpError::BadRequest(format!("malformed header: {line}")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad Content-Length: {}", value.trim()))?;
+            content_length = value.trim().parse().map_err(|_| {
+                HttpError::BadRequest(format!("bad Content-Length: {}", value.trim()))
+            })?;
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(format!(
+        return Err(HttpError::BadRequest(format!(
             "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        ));
+        )));
     }
 
     let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(stream, &mut body)
-        .map_err(|e| format!("failed to read {content_length}-byte body: {e}"))?;
-    let body = String::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
+    std::io::Read::read_exact(stream, &mut body).map_err(|e| {
+        HttpError::BadRequest(format!("failed to read {content_length}-byte body: {e}"))
+    })?;
+    let body = String::from_utf8(body)
+        .map_err(|_| HttpError::BadRequest("body is not valid UTF-8".to_string()))?;
     Ok(HttpRequest { method, path, body })
 }
 
@@ -98,18 +146,22 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
 ///
 /// # Errors
 ///
-/// A read failure, or a line that fills the window without ending.
+/// A read failure ([`HttpError::BadRequest`]), or a line that fills the
+/// window without ending (`too_long`).
 fn read_bounded_line(
     stream: &mut impl BufRead,
     line: &mut String,
     what: &str,
-) -> Result<usize, String> {
+    too_long: fn(String) -> HttpError,
+) -> Result<usize, HttpError> {
     let n = stream
         .take(MAX_LINE_BYTES as u64)
         .read_line(line)
-        .map_err(|e| format!("failed to read {what}: {e}"))?;
+        .map_err(|e| HttpError::BadRequest(format!("failed to read {what}: {e}")))?;
     if n == MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(format!("{what} exceeds the {MAX_LINE_BYTES}-byte limit"));
+        return Err(too_long(format!(
+            "{what} exceeds the {MAX_LINE_BYTES}-byte limit"
+        )));
     }
     Ok(n)
 }
@@ -121,7 +173,9 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }
@@ -155,7 +209,7 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<HttpRequest, String> {
+    fn parse(raw: &str) -> Result<HttpRequest, HttpError> {
         read_request(&mut BufReader::new(raw.as_bytes()))
     }
 
@@ -176,15 +230,26 @@ mod tests {
 
     #[test]
     fn rejects_garbage_without_panicking() {
-        assert!(parse("").is_err());
-        assert!(parse("NOT-HTTP\r\n\r\n").is_err());
-        assert!(parse("POST /plan HTTP/1.1\r\nContent-Length: tall\r\n\r\n").is_err());
-        assert!(parse("POST /plan HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").is_err());
+        for raw in [
+            "",
+            "NOT-HTTP\r\n\r\n",
+            "POST /plan HTTP/1.1\r\nContent-Length: tall\r\n\r\n",
+            "POST /plan HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+            "POST /plan HTTP/1.1\r\nno colon\r\n\r\n",
+        ] {
+            assert_eq!(parse(raw).map_err(|e| e.status()), Err(400), "{raw:?}");
+        }
         let oversized = format!(
             "POST /plan HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(parse(&oversized).unwrap_err().contains("exceeds"));
+        let err = parse(&oversized).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert_eq!(
+            err.status(),
+            400,
+            "an oversized body is a plain bad request"
+        );
     }
 
     fn mib() -> String {
@@ -194,13 +259,15 @@ mod tests {
     #[test]
     fn oversized_request_line_is_refused() {
         let err = parse(&format!("GET /{} HTTP/1.1\r\n\r\n", mib())).unwrap_err();
-        assert!(err.contains("request line exceeds"), "{err}");
+        assert!(err.to_string().contains("request line exceeds"), "{err}");
+        assert_eq!(err.status(), 414, "{err}");
     }
 
     #[test]
     fn oversized_header_line_is_refused() {
         let err = parse(&format!("GET /stats HTTP/1.1\r\nX-Pad: {}\r\n\r\n", mib())).unwrap_err();
-        assert!(err.contains("header exceeds"), "{err}");
+        assert!(err.to_string().contains("header exceeds"), "{err}");
+        assert_eq!(err.status(), 431, "{err}");
     }
 
     #[test]
@@ -211,7 +278,8 @@ mod tests {
         };
         assert!(many(MAX_HEADERS).is_ok(), "the cap itself is allowed");
         let err = many(MAX_HEADERS + 1).unwrap_err();
-        assert!(err.contains("more than"), "{err}");
+        assert!(err.to_string().contains("more than"), "{err}");
+        assert_eq!(err.status(), 431, "{err}");
     }
 
     #[test]
@@ -221,7 +289,7 @@ mod tests {
         let req = parse(&format!("GET /{path} HTTP/1.1\r\n\r\n")).unwrap();
         assert_eq!(req.path.len(), path.len() + 1);
         let over = format!("GET /{path}a HTTP/1.1\r\n\r\n");
-        assert!(parse(&over).is_err());
+        assert_eq!(parse(&over).map_err(|e| e.status()), Err(414));
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //! rests on.
 //!
 //! The service also memoizes the two planner inputs that depend on the
-//! catalog entry alone: one [`AccuracyModel`] per network and one set of
-//! staircase ladders ([`SearchSpace`]) per resolved (device, backend,
-//! network) triple. Both live in fixed tables of [`OnceLock`] slots
-//! indexed by catalog position, filled on first use, so the memo is
-//! bounded by the catalog's size and construction builds nothing.
+//! catalog entry alone: one [`AccuracyModel`] per network and one
+//! [`SearchSpace`] per resolved (device, backend, network) triple — the
+//! staircase ladders plus their per-slot latency, energy and loss
+//! columns. Both live in fixed tables of [`OnceLock`] slots indexed by
+//! catalog position, filled on first use, so the memo is bounded by the
+//! catalog's size and construction builds nothing. The §V greedy reads
+//! only the space, so a warm request touches the cache for its
+//! verification run alone.
 
 use std::sync::{Arc, OnceLock};
 
@@ -36,8 +39,8 @@ pub struct PlanService {
     stats: Arc<Stats>,
     /// Accuracy surrogate per catalog network slot.
     accuracy: [OnceLock<AccuracyModel>; catalog::NETWORK_SLOTS],
-    /// Staircase ladders per [`catalog::triple_slot`].
-    ladders: [OnceLock<SearchSpace>; catalog::TRIPLE_SLOTS],
+    /// Ladders and objective columns per [`catalog::triple_slot`].
+    spaces: [OnceLock<SearchSpace>; catalog::TRIPLE_SLOTS],
 }
 
 impl PlanService {
@@ -57,7 +60,7 @@ impl PlanService {
             cache,
             stats: Arc::new(Stats::new()),
             accuracy: [const { OnceLock::new() }; catalog::NETWORK_SLOTS],
-            ladders: [const { OnceLock::new() }; catalog::TRIPLE_SLOTS],
+            spaces: [const { OnceLock::new() }; catalog::TRIPLE_SLOTS],
         }
     }
 
@@ -109,7 +112,7 @@ impl PlanService {
         // ones every later request would have computed.
         let accuracy =
             self.accuracy[network_slot].get_or_init(|| AccuracyModel::for_network(&network));
-        let space = self.ladders[catalog::triple_slot(device_slot, backend_slot, network_slot)]
+        let space = self.spaces[catalog::triple_slot(device_slot, backend_slot, network_slot)]
             .get_or_init(|| {
                 SearchSpace::build_for(&profiler, accuracy, backend.as_ref(), &network)
             });
@@ -278,6 +281,37 @@ mod tests {
             swept,
             "a second budget and objective on the same triple re-swept"
         );
+    }
+
+    #[test]
+    fn a_warm_request_reads_the_cache_only_to_verify() {
+        let service = PlanService::new(0);
+        for objective in ["latency", "energy"] {
+            let r = req(&format!(
+                r#"{{"network":"mobilenetv1","device":"nano","objective":"{objective}","budget":0.6}}"#
+            ));
+            service.handle(&r);
+            let before = service.cache().stats().lookups;
+            let PlanResponse::Ok(body) = service.handle(&r) else {
+                panic!("{objective}: expected a plan");
+            };
+            let planned = service.cache().stats().lookups - before;
+
+            let device = catalog::device_by_name("nano").unwrap();
+            let backend = catalog::backend_by_name("acl-gemm").unwrap();
+            let network = catalog::network_by_name("mobilenetv1").unwrap();
+            let pruned = network.sequential_with_kept(&body.kept.into_iter().collect());
+            let before = service.cache().stats().lookups;
+            let _ = NetworkRunner::new(&device)
+                .with_cache(Arc::clone(service.cache()))
+                .try_run(&backend, &pruned);
+            let verified = service.cache().stats().lookups - before;
+            assert!(verified > 0, "verification reads the cache");
+            assert_eq!(
+                planned, verified,
+                "{objective}: a warm request looked up more than its verification"
+            );
+        }
     }
 
     #[test]

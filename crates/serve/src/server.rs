@@ -264,8 +264,8 @@ fn dispatch(
         Ok(r) => r,
         Err(e) => {
             refused.fetch_add(1, Ordering::Relaxed);
-            let body = PlanResponse::Error(e).render(id, false);
-            let _ = http::try_respond(&mut &stream, 400, &body);
+            let body = PlanResponse::Error(e.to_string()).render(id, false);
+            let _ = http::try_respond(&mut &stream, e.status(), &body);
             return;
         }
     };
@@ -390,6 +390,64 @@ mod tests {
         assert_eq!(summary.accepted, 4);
         assert_eq!(summary.refused, 2);
         assert_eq!(summary.shed, 0);
+    }
+
+    /// Sends `raw` and reads the reply until the daemon closes. The daemon
+    /// answers a refused request without reading the rest of it, so the
+    /// close may arrive as a reset after the reply; that ends the read.
+    fn roundtrip_refused(addr: SocketAddr, raw: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = stream.write_all(raw.as_bytes());
+        let mut out = Vec::new();
+        let _ = stream.read_to_end(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    #[test]
+    fn oversized_lines_and_header_counts_get_their_own_status() {
+        let server = Server::bind(ServerOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_capacity: 1,
+            cache_cap: 16,
+            max_requests: Some(4),
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = thread::spawn(move || server.run().unwrap());
+
+        let long_path = "a".repeat(http::MAX_LINE_BYTES);
+        let uri = roundtrip_refused(addr, &format!("GET /{long_path} HTTP/1.1\r\n\r\n"));
+        assert!(uri.starts_with("HTTP/1.1 414 URI Too Long\r\n"), "{uri}");
+        assert!(uri.contains("request line exceeds"), "{uri}");
+
+        let pad = "b".repeat(http::MAX_LINE_BYTES);
+        let line = roundtrip_refused(
+            addr,
+            &format!("GET /stats HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+        );
+        assert!(
+            line.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{line}"
+        );
+
+        let headers: String = (0..=http::MAX_HEADERS)
+            .map(|i| format!("X-{i}: v\r\n"))
+            .collect();
+        let count = roundtrip_refused(addr, &format!("GET /stats HTTP/1.1\r\n{headers}\r\n"));
+        assert!(
+            count.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{count}"
+        );
+
+        let garbage = roundtrip_refused(addr, "NOT-HTTP\r\n\r\n");
+        assert!(
+            garbage.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+            "{garbage}"
+        );
+
+        let summary = handle.join().unwrap();
+        assert_eq!(summary.refused, 4);
     }
 
     #[test]

@@ -75,6 +75,9 @@ cmp /tmp/pruneperf-loadgen-seq.txt /tmp/pruneperf-loadgen-par.txt
 cargo run --release -q -- loadgen --seed 42 --requests 2000 --cache-cap 8 --jobs 1 > /tmp/pruneperf-loadgen-cap-seq.txt
 cargo run --release -q -- loadgen --seed 42 --requests 2000 --cache-cap 8 --jobs 8 > /tmp/pruneperf-loadgen-cap-par.txt
 cmp /tmp/pruneperf-loadgen-cap-seq.txt /tmp/pruneperf-loadgen-cap-par.txt
+cargo run --release -q -- loadgen --seed 42 --requests 1000000 --jobs 1 > /tmp/pruneperf-loadgen-1m-seq.txt
+cargo run --release -q -- loadgen --seed 42 --requests 1000000 --jobs 8 > /tmp/pruneperf-loadgen-1m-par.txt
+cmp /tmp/pruneperf-loadgen-1m-seq.txt /tmp/pruneperf-loadgen-1m-par.txt
 
 echo "== benches (compile + smoke) =="
 cargo bench -p pruneperf-bench -- --test
