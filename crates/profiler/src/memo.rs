@@ -15,9 +15,16 @@
 //! maximum, which it displaces. Membership is therefore monotone toward
 //! the `cap` order-smallest distinct keys ever offered — a pure function
 //! of the key *set*, independent of arrival order and thread schedule.
+//!
+//! Each shard keeps its bucket digests in a max-heap beside the bucket
+//! map, so the shard's largest order key sits in the bucket under the
+//! heap's top. "Does the newcomer beat the maximum" reads that one bucket,
+//! and evicting the maximum pops the heap only when its bucket empties: a
+//! capped insert costs O(log n) instead of a scan of the whole shard, and
+//! lookups stay one identity-hashed probe.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -93,11 +100,15 @@ pub(crate) enum Inserted {
 }
 
 /// One shard: buckets keyed by digest, each holding the (rarely >1) exact
-/// keys sharing that digest so hash collisions stay correct, plus the
-/// number of entries across all buckets.
+/// keys sharing that digest so hash collisions stay correct, every
+/// bucket's digest once in a max-heap, and the number of entries across
+/// all buckets.
 #[derive(Debug)]
 struct Shard<K, V> {
     map: HashMap<u64, Vec<(K, V)>, BuildHasherDefault<IdentityHasher>>,
+    /// Only the maximum bucket ever empties (eviction is largest-first),
+    /// so the heap needs no arbitrary removal.
+    digests: BinaryHeap<u64>,
     len: usize,
 }
 
@@ -105,8 +116,62 @@ impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
         Shard {
             map: HashMap::default(),
+            digests: BinaryHeap::new(),
             len: 0,
         }
+    }
+}
+
+impl<K: MemoKey, V> Shard<K, V> {
+    /// The largest `(digest, key)` order key: the heap's top digest, and
+    /// the index and key of the `order_cmp`-largest entry in its bucket.
+    /// `None` on an empty shard.
+    fn max_at(&self) -> Option<(u64, usize, &K)> {
+        let digest = *self.digests.peek()?;
+        let mut max_at: Option<(usize, &K)> = None;
+        for (i, (key, _)) in self.map.get(&digest)?.iter().enumerate() {
+            if max_at.is_none_or(|(_, incumbent)| key.order_cmp(incumbent) == CmpOrdering::Greater)
+            {
+                max_at = Some((i, key));
+            }
+        }
+        max_at.map(|(i, key)| (digest, i, key))
+    }
+
+    /// `true` when the shard's largest `(digest, key)` order key is
+    /// strictly greater than the candidate's.
+    fn max_exceeds(&self, digest: u64, key: &K) -> bool {
+        self.max_at().is_some_and(|(d, _, k)| {
+            d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater
+        })
+    }
+
+    /// Stores an entry whose key is known to be absent.
+    fn push(&mut self, digest: u64, key: K, value: V) {
+        let bucket = self.map.entry(digest).or_default();
+        if bucket.is_empty() {
+            self.digests.push(digest);
+        }
+        bucket.push((key, value));
+        self.len += 1;
+    }
+
+    /// Removes the entry with the largest `(digest, key)` order key;
+    /// `false` when there was none to remove.
+    fn evict_max(&mut self) -> bool {
+        let Some((digest, i, _)) = self.max_at() else {
+            return false;
+        };
+        let Some(bucket) = self.map.get_mut(&digest) else {
+            return false;
+        };
+        bucket.remove(i);
+        self.len -= 1;
+        if bucket.is_empty() {
+            self.map.remove(&digest);
+            self.digests.pop();
+        }
+        true
     }
 }
 
@@ -174,14 +239,13 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
             // Admit-if-smaller: displace the current maximum only when the
             // candidate orders below it, so membership converges to the
             // cap-smallest distinct keys regardless of arrival order.
-            if !shard_max_exceeds(&table, digest, &key) {
+            if !table.max_exceeds(digest, &key) {
                 return Inserted::Rejected;
             }
-            evict_max(&mut table);
+            table.evict_max();
             displaced = true;
         }
-        table.map.entry(digest).or_default().push((key, value));
-        table.len += 1;
+        table.push(digest, key, value);
         Inserted::Admitted { displaced }
     }
 
@@ -197,8 +261,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
         }
         for (shard, n) in self.shards.iter().zip(&mut dropped) {
             let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            while table.len > cap {
-                evict_max(&mut table);
+            while table.len > cap && table.evict_max() {
                 *n += 1;
             }
         }
@@ -231,6 +294,7 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
             let mut table = shard.lock().unwrap_or_else(PoisonError::into_inner);
             *n = table.len as u64;
             table.map.clear();
+            table.digests.clear();
             table.len = 0;
         }
         dropped
@@ -275,47 +339,6 @@ impl<K: MemoKey, V: Copy> ShardedMemo<K, V> {
             debug_assert!(result.is_err(), "the poisoning thread must panic");
         }
     }
-}
-
-/// Removes the entry with the largest `(digest, key)` order key from
-/// `table`. No-op on an empty table.
-fn evict_max<K: MemoKey, V>(table: &mut Shard<K, V>) {
-    let mut max_at: Option<(u64, usize, &K)> = None;
-    for (&digest, bucket) in table.map.iter() {
-        for (i, (key, _)) in bucket.iter().enumerate() {
-            let greater = match max_at {
-                None => true,
-                Some((d, _, incumbent)) => {
-                    digest.cmp(&d).then_with(|| key.order_cmp(incumbent)) == CmpOrdering::Greater
-                }
-            };
-            if greater {
-                max_at = Some((digest, i, key));
-            }
-        }
-    }
-    let target = max_at.map(|(digest, i, _)| (digest, i));
-    if let Some((digest, i)) = target {
-        if let Some(bucket) = table.map.get_mut(&digest) {
-            if i < bucket.len() {
-                bucket.remove(i);
-                table.len -= 1;
-            }
-            if bucket.is_empty() {
-                table.map.remove(&digest);
-            }
-        }
-    }
-}
-
-/// `true` when some entry in `table` has a `(digest, key)` order key
-/// strictly greater than the candidate's.
-fn shard_max_exceeds<K: MemoKey, V>(table: &Shard<K, V>, digest: u64, key: &K) -> bool {
-    table.map.iter().any(|(&d, bucket)| {
-        bucket
-            .iter()
-            .any(|(k, _)| d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater)
-    })
 }
 
 #[cfg(test)]
@@ -493,6 +516,204 @@ mod tests {
         memo.clear();
         check(&memo, "clear");
         assert_eq!(memo.len(), 0);
+    }
+
+    /// One shard of the linear-scan oracle: the bucket layout before the
+    /// shards kept their digests ordered.
+    struct LinearShard<K, V> {
+        map: HashMap<u64, Vec<(K, V)>>,
+        len: usize,
+    }
+
+    /// The bounded table as it was when every capped insert scanned its
+    /// whole shard: `evict_max` and `shard_max_exceeds` are kept verbatim
+    /// as the oracle for the ordered shards.
+    struct LinearMemo {
+        shards: Vec<LinearShard<u64, u64>>,
+        max_entries: usize,
+    }
+
+    impl LinearMemo {
+        fn new() -> Self {
+            LinearMemo {
+                shards: (0..SHARDS)
+                    .map(|_| LinearShard {
+                        map: HashMap::new(),
+                        len: 0,
+                    })
+                    .collect(),
+                max_entries: 0,
+            }
+        }
+
+        fn insert(&mut self, digest: u64, key: u64, value: u64) -> Inserted {
+            let cap = self.max_entries;
+            let table = &mut self.shards[shard_index(digest)];
+            let present = table
+                .map
+                .get(&digest)
+                .is_some_and(|bucket| bucket.iter().any(|(k, _)| *k == key));
+            if present {
+                return Inserted::Present;
+            }
+            let full = cap > 0 && table.len >= cap;
+            let mut displaced = false;
+            if full {
+                if !shard_max_exceeds(table, digest, &key) {
+                    return Inserted::Rejected;
+                }
+                evict_max(table);
+                displaced = true;
+            }
+            table.map.entry(digest).or_default().push((key, value));
+            table.len += 1;
+            Inserted::Admitted { displaced }
+        }
+
+        fn set_max_entries_per_shard(&mut self, cap: usize) -> [u64; SHARDS] {
+            self.max_entries = cap;
+            let mut dropped = [0u64; SHARDS];
+            if cap == 0 {
+                return dropped;
+            }
+            for (table, n) in self.shards.iter_mut().zip(&mut dropped) {
+                while table.len > cap {
+                    evict_max(table);
+                    *n += 1;
+                }
+            }
+            dropped
+        }
+
+        fn shard_lens(&self) -> [usize; SHARDS] {
+            let mut lens = [0usize; SHARDS];
+            for (table, n) in self.shards.iter().zip(&mut lens) {
+                *n = table.len;
+            }
+            lens
+        }
+
+        fn sorted_entries(&self) -> Vec<(u64, u64, u64)> {
+            let mut entries: Vec<(u64, u64, u64)> = Vec::new();
+            for table in &self.shards {
+                for (&digest, bucket) in table.map.iter() {
+                    for (key, value) in bucket {
+                        entries.push((digest, *key, *value));
+                    }
+                }
+            }
+            entries.sort_by(|(da, ka, _), (db, kb, _)| da.cmp(db).then_with(|| ka.order_cmp(kb)));
+            entries
+        }
+    }
+
+    /// Removes the entry with the largest `(digest, key)` order key from
+    /// `table`. No-op on an empty table.
+    fn evict_max<K: MemoKey, V>(table: &mut LinearShard<K, V>) {
+        let mut max_at: Option<(u64, usize, &K)> = None;
+        for (&digest, bucket) in table.map.iter() {
+            for (i, (key, _)) in bucket.iter().enumerate() {
+                let greater = match max_at {
+                    None => true,
+                    Some((d, _, incumbent)) => {
+                        digest.cmp(&d).then_with(|| key.order_cmp(incumbent))
+                            == CmpOrdering::Greater
+                    }
+                };
+                if greater {
+                    max_at = Some((digest, i, key));
+                }
+            }
+        }
+        let target = max_at.map(|(digest, i, _)| (digest, i));
+        if let Some((digest, i)) = target {
+            if let Some(bucket) = table.map.get_mut(&digest) {
+                if i < bucket.len() {
+                    bucket.remove(i);
+                    table.len -= 1;
+                }
+                if bucket.is_empty() {
+                    table.map.remove(&digest);
+                }
+            }
+        }
+    }
+
+    /// `true` when some entry in `table` has a `(digest, key)` order key
+    /// strictly greater than the candidate's.
+    fn shard_max_exceeds<K: MemoKey, V>(table: &LinearShard<K, V>, digest: u64, key: &K) -> bool {
+        table.map.iter().any(|(&d, bucket)| {
+            bucket
+                .iter()
+                .any(|(k, _)| d.cmp(&digest).then_with(|| k.order_cmp(key)) == CmpOrdering::Greater)
+        })
+    }
+
+    #[test]
+    fn ordered_shards_match_the_linear_scan_oracle() {
+        // Even keys crowd onto 12 digests (multi-key buckets, several per
+        // shard); odd keys mostly get their own.
+        let crowded = |key: u64| {
+            if key.is_multiple_of(2) {
+                splitmix(key % 24)
+            } else {
+                splitmix(key)
+            }
+        };
+        let caps = [1usize, 2, 3, 7, 64];
+        for seed in 0..8u64 {
+            let mut rng = seed;
+            let mut next = || {
+                rng = rng.wrapping_add(1);
+                splitmix(rng)
+            };
+            let memo = ShardedMemo::new();
+            let mut oracle = LinearMemo::new();
+            let cap = caps[seed as usize % caps.len()];
+            assert_eq!(
+                memo.set_max_entries_per_shard(cap),
+                oracle.set_max_entries_per_shard(cap)
+            );
+            for step in 0..4000 {
+                let roll = next() % 100;
+                if roll < 2 {
+                    // Shrink to (or lift past) another cap, or unbound.
+                    let cap = match next() % 6 {
+                        0 => 0,
+                        i => caps[i as usize - 1],
+                    };
+                    let got = memo.set_max_entries_per_shard(cap);
+                    assert_eq!(
+                        got,
+                        oracle.set_max_entries_per_shard(cap),
+                        "seed {seed} step {step}"
+                    );
+                } else {
+                    let key = next() % 1500;
+                    let digest = crowded(key);
+                    let got = memo.insert(digest, |k| *k == key, || key, key ^ seed);
+                    let want = oracle.insert(digest, key, key ^ seed);
+                    assert_eq!(got, want, "seed {seed} step {step} key {key}");
+                }
+                assert_eq!(
+                    memo.shard_lens(),
+                    oracle.shard_lens(),
+                    "seed {seed} step {step}"
+                );
+                if step % 250 == 0 {
+                    assert_eq!(
+                        memo.sorted_entries(),
+                        oracle.sorted_entries(),
+                        "seed {seed} step {step}"
+                    );
+                }
+            }
+            assert_eq!(
+                memo.sorted_entries(),
+                oracle.sorted_entries(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! computations. That split is what keeps replay output byte-identical
 //! at any `--jobs`.
 
+use std::cmp::Ordering;
+
 use pruneperf_backends::hash::fnv1a;
 
 /// The admission model's parameters.
@@ -90,7 +92,11 @@ pub fn simulate(requests: &[(f64, &str)], config: &AdmissionConfig) -> Vec<Admis
         let worker = worker_for_device(device, workers);
         // lint: allow(index) — worker < workers by construction
         let lane = &mut finishes[worker];
-        let depth = lane.iter().filter(|&&f| f > arrival).count();
+        // A lane's finish times never decrease, so the ones after this
+        // arrival are a suffix. Spelled with `partial_cmp` so a NaN
+        // arrival, like in a plain `f > arrival` count, finds none.
+        let depth = lane.len()
+            - lane.partition_point(|f| f.partial_cmp(&arrival) != Some(Ordering::Greater));
         if depth > config.queue_capacity {
             outcomes.push(AdmissionOutcome {
                 worker,
@@ -104,6 +110,10 @@ pub fn simulate(requests: &[(f64, &str)], config: &AdmissionConfig) -> Vec<Admis
         let free_at = lane.last().copied().unwrap_or(0.0);
         let start = arrival.max(free_at);
         let finish = start + config.service_ms;
+        debug_assert!(
+            finish >= free_at,
+            "service_ms > 0 keeps a lane's finish times non-decreasing"
+        );
         lane.push(finish);
         outcomes.push(AdmissionOutcome {
             worker,
@@ -173,6 +183,96 @@ mod tests {
         let a = simulate(&reqs, &cfg(3, 2, 7.5));
         let b = simulate(&reqs, &cfg(3, 2, 7.5));
         assert_eq!(a, b);
+    }
+
+    /// [`simulate`] with the backlog counted by a scan over every finish
+    /// time the lane ever admitted.
+    fn simulate_linear(
+        requests: &[(f64, &str)],
+        config: &AdmissionConfig,
+    ) -> Vec<AdmissionOutcome> {
+        let workers = config.workers.max(1);
+        let mut finishes: Vec<Vec<f64>> = vec![Vec::new(); workers];
+        let mut outcomes = Vec::new();
+        for &(arrival, device) in requests {
+            let worker = worker_for_device(device, workers);
+            let lane = &mut finishes[worker];
+            let depth = lane.iter().filter(|&&f| f > arrival).count();
+            if depth > config.queue_capacity {
+                outcomes.push(AdmissionOutcome {
+                    worker,
+                    admitted: false,
+                    depth,
+                    start_ms: 0.0,
+                    finish_ms: 0.0,
+                });
+                continue;
+            }
+            let free_at = lane.last().copied().unwrap_or(0.0);
+            let start = arrival.max(free_at);
+            let finish = start + config.service_ms;
+            lane.push(finish);
+            outcomes.push(AdmissionOutcome {
+                worker,
+                admitted: true,
+                depth,
+                start_ms: start,
+                finish_ms: finish,
+            });
+        }
+        outcomes
+    }
+
+    #[test]
+    fn the_suffix_backlog_matches_a_linear_count() {
+        let devices = ["tx2", "nano", "hikey970", "odroidxu4"];
+        let mut state = 7u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        // Arrivals on a 0.5 ms grid with 2.5 ms service, so many land
+        // exactly on a finish time; every eighth steps back in time.
+        let mut clock = 0.0f64;
+        let reqs: Vec<(f64, &str)> = (0..3000)
+            .map(|i| {
+                clock += (next() % 4) as f64 * 0.5;
+                let arrival = if i % 8 == 7 {
+                    (clock - (next() % 40) as f64 * 0.5).max(0.0)
+                } else {
+                    clock
+                };
+                (arrival, devices[next() as usize % devices.len()])
+            })
+            .collect();
+        for config in [
+            cfg(1, 0, 2.5),
+            cfg(2, 1, 2.5),
+            cfg(3, 4, 2.5),
+            cfg(2, 2, 0.75),
+        ] {
+            let fast = simulate(&reqs, &config);
+            assert_eq!(fast, simulate_linear(&reqs, &config), "{config:?}");
+            assert!(fast.iter().any(|o| !o.admitted), "{config:?} sheds");
+        }
+        let ties = [
+            (0.0, "tx2"),
+            (0.0, "tx2"),
+            (2.5, "tx2"),
+            (5.0, "tx2"),
+            (f64::NAN, "tx2"),
+            (1.0, "tx2"),
+        ];
+        let config = cfg(1, 1, 2.5);
+        let out = simulate(&ties, &config);
+        assert_eq!(out, simulate_linear(&ties, &config));
+        assert_eq!(
+            out[2].depth, 1,
+            "the request finishing at 2.5 is not ahead of it"
+        );
+        assert_eq!(out[4].depth, 0, "no finish time orders after NaN");
     }
 
     #[test]

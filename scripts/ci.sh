@@ -50,6 +50,10 @@ cargo run --release -q -- search --network alexnet --json \
 cmp /tmp/pruneperf-search-seq.json /tmp/pruneperf-search-cold.json
 cmp /tmp/pruneperf-search-cold.json /tmp/pruneperf-search-resumed.json
 cmp /tmp/pruneperf-search-cache-cold.txt /tmp/pruneperf-search-cache.txt
+rm -f /tmp/pruneperf-search-cap8.txt
+cargo run --release -q -- search --network alexnet --json --cache-cap 8 \
+  --persist /tmp/pruneperf-search-cap8.txt > /dev/null
+cmp /tmp/pruneperf-search-cap8.txt tests/goldens/search-alexnet-cap8.snapshot.txt
 
 echo "== micro-benchmarks (regression gate + determinism) =="
 cargo run --release -q -- bench --no-wall --check BENCH_PR10.json

@@ -160,3 +160,38 @@ fn search_with_a_bounded_cache_is_byte_identical() {
     let bounded = search_json(&["--cache-cap", "8"]);
     assert_eq!(unbounded, bounded);
 }
+
+/// Which entries a bounded cache keeps is pinned, not only stable across
+/// worker counts: a cap-8 search persists exactly the golden snapshot
+/// (the 128 order-smallest keys its sweeps offer), at any `--jobs`.
+#[test]
+fn bounded_search_persists_the_golden_entries() {
+    let golden = include_str!("goldens/search-alexnet-cap8.snapshot.txt");
+    for jobs in ["1", "8"] {
+        let path = std::env::temp_dir().join(format!(
+            "pruneperf-search-cap8-{jobs}-{}.txt",
+            std::process::id()
+        ));
+        let path_str = path.to_string_lossy().into_owned();
+        std::fs::remove_file(&path).ok();
+        run(&[
+            "search",
+            "--network",
+            "alexnet",
+            "--json",
+            "--cache-cap",
+            "8",
+            "--persist",
+            &path_str,
+            "--jobs",
+            jobs,
+        ])
+        .expect("bounded search succeeds");
+        let snapshot = std::fs::read_to_string(&path).expect("cache persisted");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            snapshot == golden,
+            "--jobs {jobs}: snapshot drifted from the golden"
+        );
+    }
+}
